@@ -11,6 +11,7 @@ mod lru_caches;
 mod no_std_sync;
 mod panic_free;
 mod scoped_sweeps;
+mod single_exec_path;
 mod timing_via_obs;
 
 pub use lock_order::{acquisition_graph, LockGraph};
@@ -38,6 +39,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(no_std_sync::NoStdSync),
         Box::new(lock_order::LockOrder),
         Box::new(timing_via_obs::TimingViaObs),
+        Box::new(single_exec_path::SingleExecPath),
     ]
 }
 

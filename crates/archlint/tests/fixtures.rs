@@ -244,6 +244,41 @@ fn timing_via_obs_allow_suppresses() {
     assert_clean("fixtures/inline/timing_allow.rs", src);
 }
 
+// ---- single-exec-path ----------------------------------------------------
+
+#[test]
+fn single_exec_path_positive() {
+    let rel = "fixtures/single_exec_path/bad.rs";
+    let diags = lint_one(rel, include_str!("fixtures/single_exec_path/bad.rs"));
+    assert!(diags.iter().all(|d| d.file == rel), "{diags:#?}");
+    assert_eq!(
+        sites(&diags),
+        vec![
+            (11, "single-exec-path"), // join_sharded beside join
+            (16, "single-exec-path"), // join_governed beside join
+            (27, "single-exec-path"), // Pipeline::count_observed beside count
+        ],
+        "{diags:#?}"
+    );
+    assert!(diags[0].msg.contains("`fn join`"), "{diags:#?}");
+}
+
+#[test]
+fn single_exec_path_negative() {
+    assert_clean(
+        "fixtures/single_exec_path/good.rs",
+        include_str!("fixtures/single_exec_path/good.rs"),
+    );
+}
+
+#[test]
+fn single_exec_path_allow_suppresses() {
+    let src = "pub fn join() {}\n\
+               // archlint::allow(single-exec-path, reason = \"parked kernel kept for the ledger\")\n\
+               pub fn join_sharded() {}\n";
+    assert_clean("fixtures/inline/parked_kernel.rs", src);
+}
+
 // ---- allow hygiene ------------------------------------------------------
 
 #[test]

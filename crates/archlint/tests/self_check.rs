@@ -31,16 +31,14 @@ fn workspace_has_zero_findings() {
 fn serving_lock_graph_is_discovered_and_acyclic() {
     let g = acquisition_graph(&load());
     // The serving layer's lock classes: the database snapshot RwLock,
-    // both cache mutexes, the relation index cache, and the
-    // fault-injection trip slot. New classes may appear; these must not
-    // silently vanish (a rename here means the lock-order pass lost
-    // sight of a real lock).
+    // both cache mutexes, and the relation index cache. New classes may
+    // appear; these must not silently vanish (a rename here means the
+    // lock-order pass lost sight of a real lock).
     for expected in [
         "Service.db",
         "PlanCache.map",
         "DecompCache.map",
         "Relation.cache",
-        "TripSlot.first",
     ] {
         assert!(
             g.classes.iter().any(|c| c == expected),
@@ -70,6 +68,7 @@ fn every_rule_is_listed_with_an_explanation() {
             "no-std-sync",
             "lock-order",
             "timing-via-obs",
+            "single-exec-path",
         ]
     );
     for r in &rules {

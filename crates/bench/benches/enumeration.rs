@@ -29,7 +29,7 @@ fn bench_enumeration(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(2));
     group.bench_function("hypertree_plan", |b| {
-        b.iter(|| plan.boolean(&qc, &db).unwrap())
+        b.iter(|| plan.boolean(&qc, &db, &eval::Unlimited).unwrap())
     });
     group.finish();
 }

@@ -18,7 +18,7 @@ fn bench_eval_acyclic(c: &mut Criterion) {
         let mut rng = random::rng(100 + degree as u64);
         let db = random::blowup_database(&mut rng, 5, 150, degree);
         group.bench_with_input(BenchmarkId::new("yannakakis", degree), &db, |b, db| {
-            b.iter(|| plan.boolean(&q, db).unwrap())
+            b.iter(|| plan.boolean(&q, db, &eval::Unlimited).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("naive", degree), &db, |b, db| {
             b.iter(|| {

@@ -18,7 +18,7 @@ fn bench_eval_cyclic(c: &mut Criterion) {
         let mut rng = random::rng(200 + degree as u64);
         let db = random::blowup_database(&mut rng, 5, 100, degree);
         group.bench_with_input(BenchmarkId::new("hypertree", degree), &db, |b, db| {
-            b.iter(|| plan.boolean(&q, db).unwrap())
+            b.iter(|| plan.boolean(&q, db, &eval::Unlimited).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("naive", degree), &db, |b, db| {
             b.iter(|| {

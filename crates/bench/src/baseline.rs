@@ -20,7 +20,7 @@
 //!
 //! Run with `cargo run --release -p bench --bin bench_baseline -- --smoke`.
 
-use eval::Strategy;
+use eval::{Strategy, Unlimited};
 use hypertree_core::HypertreeDecomposition;
 use std::time::{Duration, Instant};
 use workloads::{families, random, xc3s};
@@ -184,68 +184,39 @@ pub(crate) fn checked<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
 pub fn run(cfg: &Config) -> Result<Vec<Entry>, eval::EvalError> {
     let mut entries = Vec::new();
 
-    // Intra-query sharding forced to 2 shards with the size threshold
-    // off, so the partition/merge machinery is on the measured path for
-    // the `_shard2` columns below. On a single-core host this measures
-    // the sharding *overhead*, not a speedup — see README.md §Sharded
-    // execution.
-    let shard2 = eval::ShardConfig {
-        shards: 2,
-        min_rows: 0,
-    };
-
     // --- eval_acyclic: Yannakakis over path queries (the E10a shape). ---
     let q = families::path(5);
     let plan = Strategy::plan(&q);
     for degree in [2usize, 4] {
         let mut rng = random::rng(100 + degree as u64);
         let db = random::blowup_database(&mut rng, 5, 150, degree);
-        assert!(plan.boolean(&q, &db)?, "blowup instances are true");
+        assert!(
+            plan.boolean(&q, &db, &Unlimited)?,
+            "blowup instances are true"
+        );
         let id = if degree == 2 {
             "eval_acyclic/boolean_path5_deg2"
         } else {
             "eval_acyclic/boolean_path5_deg4"
         };
         let stats = measure(cfg, || {
-            std::hint::black_box(checked(plan.boolean(&q, &db)));
+            std::hint::black_box(checked(plan.boolean(&q, &db, &Unlimited)));
         });
         entries.push(Entry { id, stats });
-        if degree == 4 {
-            assert!(plan.boolean_sharded(&q, &db, &shard2)?);
-            let stats = measure(cfg, || {
-                std::hint::black_box(checked(plan.boolean_sharded(&q, &db, &shard2)));
-            });
-            entries.push(Entry {
-                id: "eval_acyclic/boolean_path5_deg4_shard2",
-                stats,
-            });
-        }
     }
 
     // Output-polynomial enumeration (the E13 shape).
     let q = families::path_endpoints(4);
     let plan = Strategy::plan(&q);
     let db = random::successor_database(4, 400);
-    let expect = plan.enumerate(&q, &db)?;
+    let (expect, _) = plan.enumerate(&q, &db, &Unlimited)?;
     let stats = measure(cfg, || {
-        let out = checked(plan.enumerate(&q, &db));
+        let (out, _) = checked(plan.enumerate(&q, &db, &Unlimited));
         assert_eq!(out.len(), expect.len());
         std::hint::black_box(out);
     });
     entries.push(Entry {
         id: "eval_acyclic/enumerate_endpoints_d400",
-        stats,
-    });
-    assert_eq!(
-        plan.enumerate_sharded(&q, &db, &shard2)?,
-        expect,
-        "sharded enumeration must be byte-identical"
-    );
-    let stats = measure(cfg, || {
-        std::hint::black_box(checked(plan.enumerate_sharded(&q, &db, &shard2)));
-    });
-    entries.push(Entry {
-        id: "eval_acyclic/enumerate_endpoints_d400_shard2",
         stats,
     });
 
@@ -275,28 +246,16 @@ pub fn run(cfg: &Config) -> Result<Vec<Entry>, eval::EvalError> {
         id: "tps/fig11_boolean",
         stats,
     });
-    assert!(eval::reduction::boolean_via_hd_sharded(
-        &query, &db, &hd, &shard2
-    )?);
-    let stats = measure(cfg, || {
-        std::hint::black_box(checked(eval::reduction::boolean_via_hd_sharded(
-            &query, &db, &hd, &shard2,
-        )));
-    });
-    entries.push(Entry {
-        id: "tps/fig11_boolean_shard2",
-        stats,
-    });
 
     Ok(entries)
 }
 
 /// Serialise one run as a JSON object (hand-rolled: the workspace builds
-/// offline, so no serde). Schema `bench-eval/1`:
+/// offline, so no serde). Schema `bench-eval/2`:
 ///
 /// ```json
 /// {
-///   "schema": "bench-eval/1",
+///   "schema": "bench-eval/2",
 ///   "label": "<free-form run label>",
 ///   "mode": "smoke" | "full",
 ///   "unit": "ns/iter",
@@ -307,7 +266,7 @@ pub fn run(cfg: &Config) -> Result<Vec<Entry>, eval::EvalError> {
 /// }
 /// ```
 pub fn to_json(label: &str, mode: &str, entries: &[Entry]) -> String {
-    to_json_with_schema("bench-eval/1", label, mode, entries)
+    to_json_with_schema("bench-eval/2", label, mode, entries)
 }
 
 /// [`to_json`] with an explicit schema id — the decomposition baseline
@@ -371,7 +330,7 @@ mod tests {
             },
         }];
         let j = to_json("test", "smoke", &entries);
-        assert!(j.contains("\"schema\": \"bench-eval/1\""));
+        assert!(j.contains("\"schema\": \"bench-eval/2\""));
         assert!(j.contains("\"g/case\""));
         assert!(j.ends_with("}\n"));
         // Balanced braces (cheap structural check).

@@ -5,7 +5,7 @@
 //!     [--label <text>] [--out <path>]
 //! ```
 //!
-//! Prints the `bench-eval/1` JSON run to stdout (and to `--out` when
+//! Prints the `bench-eval/2` JSON run to stdout (and to `--out` when
 //! given). `--smoke` uses the short CI budget; the default is the longer
 //! local budget. Recorded before/after pairs live in
 //! `bench/BENCH_eval.json`; see README.md §Benchmark baselines.

@@ -6,7 +6,7 @@
 //!     [--metrics-out <path>]
 //! ```
 //!
-//! Prints the `bench-service/4` JSON run to stdout (and to `--out` when
+//! Prints the `bench-service/5` JSON run to stdout (and to `--out` when
 //! given). `--smoke` uses the short CI streams; the default is the longer
 //! local replay.
 //!

@@ -424,7 +424,7 @@ pub fn e10a() -> String {
         let db = random::blowup_database(&mut rng, 6, 200, degree);
         let t0 = Instant::now();
         let plan = eval::Strategy::plan(&q);
-        let yk = plan.boolean(&q, &db).unwrap();
+        let yk = plan.boolean(&q, &db, &eval::Unlimited).unwrap();
         let t_yk = t0.elapsed();
         let t0 = Instant::now();
         let naive = eval::naive::evaluate_boolean(&q, &db, JoinOrder::AsWritten, 1 << 22);
@@ -478,7 +478,7 @@ pub fn e10b() -> String {
         let mut rng = random::rng(200 + degree as u64);
         let db = random::blowup_database(&mut rng, 6, 150, degree);
         let t0 = Instant::now();
-        let hd_ans = plan.boolean(&q, &db).unwrap();
+        let hd_ans = plan.boolean(&q, &db, &eval::Unlimited).unwrap();
         let t_hd = t0.elapsed();
         let t0 = Instant::now();
         let naive = eval::naive::evaluate_boolean(&q, &db, JoinOrder::AsWritten, 1 << 22);

@@ -1,5 +1,5 @@
 //! The serving-layer benchmark (`bench/BENCH_service.json`, schema
-//! `bench-service/4`).
+//! `bench-service/5`).
 //!
 //! Where the other harnesses time isolated phases (kernel, decomposition,
 //! heuristics), this one replays *request streams* through a
@@ -14,12 +14,6 @@
 //!   each request is a plan-cache hit whose cost is parse + key + one
 //!   `Arc` clone + evaluate. The hot phase is gated on the counters:
 //!   zero plan compilations, zero decompositions;
-//! * the **hot sharded** regime: the same hot replay through a service
-//!   with intra-query sharding forced on (`intra_query_shards: 2`,
-//!   threshold off), asserting identical answers — the column that
-//!   tracks what hash-sharded execution costs/saves per request (on a
-//!   single-core host it can only cost; see README.md §Sharded
-//!   execution);
 //! * the **hot governed** regime: a hot replay through a service with
 //!   resource governance on (a generous deadline and byte quota that
 //!   never trip), asserting identical answers — the column that tracks
@@ -108,9 +102,6 @@ pub struct ServeEntry {
     /// Median per-request latency with the working set fully cached,
     /// nanoseconds.
     pub hot_median_ns: u128,
-    /// Median per-request latency of the hot replay with intra-query
-    /// sharding forced to 2 shards (threshold off), nanoseconds.
-    pub hot_sharded_median_ns: u128,
     /// Median per-request latency of the hot replay with resource
     /// governance on (roomy deadline + byte quota, so the budget is
     /// polled but never trips), nanoseconds.
@@ -330,32 +321,6 @@ pub fn run_stream(cfg: &ServeConfig, stream: Stream) -> Result<ServeEntry, servi
         "{id}: the roomy budget must never trip"
     );
 
-    // Hot replay with intra-query sharding forced on: a separate service
-    // (its own caches) so the main counters stay comparable across runs.
-    // Answers must match the sequential replay bit for bit.
-    let svc_sharded = Service::with_config(
-        Arc::clone(&db),
-        service::ServiceConfig {
-            intra_query_shards: 2,
-            shard_min_rows: 0,
-            ..Default::default()
-        },
-    );
-    for text in &stream.texts {
-        expect_bool(&id, svc_sharded.execute(&Request::boolean(text.clone())))?;
-    }
-    let mut hot_sharded = Vec::with_capacity(reqs.len());
-    for (r, &cold_answer) in reqs.iter().zip(&answers) {
-        let t0 = Instant::now();
-        let resp = svc_sharded.execute(r);
-        hot_sharded.push(t0.elapsed().as_nanos());
-        assert_eq!(
-            expect_bool(&id, resp)?,
-            cold_answer,
-            "{id}: sharded answer drifted"
-        );
-    }
-
     // Mixed 80/20 replay from cold: 80% of requests over the two hottest
     // texts, the rest uniform, no cache clearing — hits accumulate the
     // way they would under real traffic.
@@ -412,7 +377,6 @@ pub fn run_stream(cfg: &ServeConfig, stream: Stream) -> Result<ServeEntry, servi
         requests: cfg.requests,
         cold_median_ns: median(cold),
         hot_median_ns: median(hot),
-        hot_sharded_median_ns: median(hot_sharded),
         hot_governed_median_ns: median(hot_governed),
         hot_traced_median_ns: median(hot_traced),
         phase_median_ns,
@@ -497,19 +461,18 @@ pub fn sample_metrics(smoke: bool) -> Result<String, service::ServiceError> {
     Ok(svc.metrics_snapshot().to_prometheus())
 }
 
-/// Serialise a run as `bench-service/4` JSON via the shared
+/// Serialise a run as `bench-service/5` JSON via the shared
 /// [`crate::emit`] envelope:
 ///
 /// ```json
 /// {
-///   "schema": "bench-service/4", "label": "...",
+///   "schema": "bench-service/5", "label": "...",
 ///   "mode": "smoke" | "full", "requests_per_stream": n,
 ///   "entries": {
 ///     "<tier/case>": {
 ///       "working_set": n, "requests": n,
 ///       "cold_median_ns": n, "hot_median_ns": n, "speedup": x.y,
-///       "hot_sharded_median_ns": n, "hot_governed_median_ns": n,
-///       "hot_traced_median_ns": n,
+///       "hot_governed_median_ns": n, "hot_traced_median_ns": n,
 ///       "phases": {"parse": n, "plan_cache": n, ...},
 ///       "mixed_median_ns": n, "batch_ns": n, "batch_requests": n,
 ///       "plan_hits": n, "plan_misses": n, "decomp_misses": n
@@ -520,15 +483,16 @@ pub fn sample_metrics(smoke: bool) -> Result<String, service::ServiceError> {
 ///
 /// `speedup` is `cold_median_ns / hot_median_ns` — the per-query factor
 /// the plan cache saves on a repeated (or α-equivalent) query.
-/// `bench-service/2` added `hot_sharded_median_ns` (the hot replay with
-/// intra-query sharding forced to 2 shards); `/3` added
-/// `hot_governed_median_ns` (the hot replay with a never-tripping budget
-/// polled on every kernel chunk — its gap over `hot_median_ns` is the
-/// governance overhead); `/4` adds `hot_traced_median_ns` (the hot
-/// replay with full tracing — its gap over `hot_median_ns` is the
-/// tracing overhead) and `phases` (median nanoseconds per [`obs::Phase`]
-/// across the traced replay, zero phases omitted). Earlier runs lack the
-/// newer fields but are otherwise identical.
+/// `bench-service/3` added `hot_governed_median_ns` (the hot replay with
+/// a never-tripping budget polled on every kernel chunk — its gap over
+/// `hot_median_ns` is the governance overhead); `/4` added
+/// `hot_traced_median_ns` (the hot replay with full tracing — its gap
+/// over `hot_median_ns` is the tracing overhead) and `phases` (median
+/// nanoseconds per [`obs::Phase`] across the traced replay, zero phases
+/// omitted); `/5` drops `hot_sharded_median_ns` (`/2`–`/4`: the hot
+/// replay with intra-query sharding forced to 2 shards — the sharding
+/// axis is gone). Earlier runs lack the newer fields but are otherwise
+/// identical.
 pub fn to_json(label: &str, mode: &str, cfg: &ServeConfig, entries: &[ServeEntry]) -> String {
     let rendered: Vec<(String, String)> = entries
         .iter()
@@ -549,8 +513,8 @@ pub fn to_json(label: &str, mode: &str, cfg: &ServeConfig, entries: &[ServeEntry
                 format!(
                     "{{\"working_set\": {}, \"requests\": {}, \
                      \"cold_median_ns\": {}, \"hot_median_ns\": {}, \"speedup\": {:.1}, \
-                     \"hot_sharded_median_ns\": {}, \"hot_governed_median_ns\": {}, \
-                     \"hot_traced_median_ns\": {}, \"phases\": {{{}}}, \
+                     \"hot_governed_median_ns\": {}, \"hot_traced_median_ns\": {}, \
+                     \"phases\": {{{}}}, \
                      \"mixed_median_ns\": {}, \"batch_ns\": {}, \"batch_requests\": {}, \
                      \"plan_hits\": {}, \"plan_misses\": {}, \"decomp_misses\": {}}}",
                     e.working_set,
@@ -558,7 +522,6 @@ pub fn to_json(label: &str, mode: &str, cfg: &ServeConfig, entries: &[ServeEntry
                     e.cold_median_ns,
                     e.hot_median_ns,
                     e.speedup(),
-                    e.hot_sharded_median_ns,
                     e.hot_governed_median_ns,
                     e.hot_traced_median_ns,
                     phases.join(", "),
@@ -573,7 +536,7 @@ pub fn to_json(label: &str, mode: &str, cfg: &ServeConfig, entries: &[ServeEntry
         })
         .collect();
     emit::run_json(
-        "bench-service/4",
+        "bench-service/5",
         label,
         mode,
         &[("requests_per_stream", cfg.requests.to_string())],
@@ -646,7 +609,6 @@ mod tests {
             requests: 2,
             cold_median_ns: 1000,
             hot_median_ns: 100,
-            hot_sharded_median_ns: 120,
             hot_governed_median_ns: 103,
             hot_traced_median_ns: 107,
             phase_median_ns: {
@@ -663,9 +625,8 @@ mod tests {
             decomp_misses: 1,
         }];
         let j = to_json("t", "smoke", &cfg, &entries);
-        assert!(j.contains("\"schema\": \"bench-service/4\""));
+        assert!(j.contains("\"schema\": \"bench-service/5\""));
         assert!(j.contains("\"speedup\": 10.0"));
-        assert!(j.contains("\"hot_sharded_median_ns\": 120"));
         assert!(j.contains("\"hot_governed_median_ns\": 103"));
         assert!(j.contains("\"hot_traced_median_ns\": 107"));
         assert!(j.contains("\"phases\": {\"parse\": 40, \"join\": 60}"));

@@ -22,54 +22,16 @@ use relation::Database;
 ///
 /// The count is exact in `u128` up to `u128::MAX - 1`; beyond that the
 /// DP saturates and `u128::MAX` means "at least `u128::MAX`" (see
-/// [`crate::Pipeline::count`] for the full saturating contract).
+/// [`crate::Pipeline::count_in`] for the full saturating contract).
 pub fn count_assignments(q: &ConjunctiveQuery, db: &Database) -> Result<u128, EvalError> {
     let plan = Strategy::plan(q);
     count_with(&plan, q, db)
 }
 
-/// [`count_assignments`] under an explicit plan.
+/// [`count_assignments`] under an explicit plan: [`Strategy::count`]
+/// under [`Unlimited`](crate::Unlimited).
 pub fn count_with(plan: &Strategy, q: &ConjunctiveQuery, db: &Database) -> Result<u128, EvalError> {
-    match plan {
-        Strategy::JoinTree(jt) => {
-            let bound = crate::bind_all(q, db)?;
-            if bound.is_empty() {
-                return Ok(1); // the empty substitution
-            }
-            let (pipeline, rels) = crate::pipeline_for(jt, bound);
-            Ok(pipeline.count(&rels))
-        }
-        Strategy::Hypertree(hd) => {
-            let (pipeline, rels) = crate::reduction::reduce(q, db, hd)?.into_pipeline();
-            Ok(pipeline.count(&rels))
-        }
-    }
-}
-
-/// [`count_with`] with the reduction joins and the counting DP
-/// hash-sharded across `cfg` shards (see [`crate::sharded`]). Identical
-/// value, saturation included.
-pub fn count_with_sharded(
-    plan: &Strategy,
-    q: &ConjunctiveQuery,
-    db: &Database,
-    cfg: &crate::ShardConfig,
-) -> Result<u128, EvalError> {
-    match plan {
-        Strategy::JoinTree(jt) => {
-            let bound = crate::bind_all(q, db)?;
-            if bound.is_empty() {
-                return Ok(1); // the empty substitution
-            }
-            let (pipeline, rels) = crate::pipeline_for(jt, bound);
-            Ok(pipeline.count_sharded(&rels, cfg))
-        }
-        Strategy::Hypertree(hd) => {
-            let (pipeline, rels) =
-                crate::reduction::reduce_sharded(q, db, hd, cfg)?.into_pipeline();
-            Ok(pipeline.count_sharded(&rels, cfg))
-        }
-    }
+    plan.count(q, db, &crate::Unlimited)
 }
 
 #[cfg(test)]
@@ -184,13 +146,6 @@ mod tests {
         }
         let q = b.build();
         assert_eq!(count_assignments(&q, &db), Ok(u128::MAX));
-        // The sharded DP agrees bit for bit, saturation included.
-        let plan = Strategy::plan(&q);
-        let cfg = crate::ShardConfig {
-            shards: 4,
-            min_rows: 0,
-        };
-        assert_eq!(count_with_sharded(&plan, &q, &db, &cfg), Ok(u128::MAX));
     }
 
     /// Reference: nested-loop count of the full join.

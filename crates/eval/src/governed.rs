@@ -1,23 +1,29 @@
-//! Budget-governed evaluation: every entry point of the pipeline, run
-//! under a [`QueryBudget`] that is polled cooperatively at chunk
-//! granularity.
+//! The execution context: what every evaluation entry point runs under.
 //!
-//! This module is the bridge between the two halves of the governance
-//! stack, which cannot see each other directly:
+//! There is one body per operation — [`crate::Pipeline::boolean_in`] /
+//! `full_reduce_in` / `enumerate_in` / `count_in`,
+//! [`crate::reduction::reduce_in`], and the three [`crate::Strategy`]
+//! operations — generic over an [`ExecCtx`]: a budget to poll plus a
+//! tracer to record into. Two contexts exist:
 //!
-//! * `hypertree_core::budget` defines [`QueryBudget`] / [`QueryError`]
-//!   but sits *above* the relational kernels in the crate order;
-//! * `relation::meter` defines the [`CostMeter`] hook the kernels poll
-//!   but knows nothing about budgets.
+//! * [`Unlimited`] — no budget, no tracer. Zero-sized: its checks are
+//!   constant `Ok`, its meter is [`relation::NoMeter`], its tracer is off,
+//!   so this instantiation compiles to plain unmetered loops. The
+//!   context-free forms (`Pipeline::boolean`, `reduction::reduce`,
+//!   `counting::count_with`, …) are one-line calls under it.
+//! * [`Governed`] — borrows a [`QueryBudget`] and an [`obs::Tracer`]. The
+//!   budget is polled cooperatively at chunk granularity: between node
+//!   steps directly, so even a pipeline whose individual steps are small
+//!   cannot overrun a deadline by more than one step, and inside the
+//!   relational kernels through the (crate-internal) `BudgetMeter`,
+//!   which bridges the two halves of the governance stack that cannot
+//!   see each other — `hypertree_core::budget` sits *above* the kernels
+//!   in the crate order, and `relation::meter`'s [`CostMeter`] hook knows
+//!   nothing about budgets.
 //!
-//! The (crate-internal) `BudgetMeter` adapts one to the other, and the
-//! `*_governed` methods
-//! on [`Pipeline`] / [`crate::Strategy`] thread it through every
-//! long-running loop: semijoin sweeps, the enumerate join phase, the
-//! counting DP, and (via [`crate::reduction::reduce_governed`]) the
-//! Lemma 4.6 node joins. Between node steps the budget is checked
-//! directly, so even a pipeline whose individual steps are small cannot
-//! overrun a deadline by more than one step.
+//! Callers that hold a budget and a tracer pick between the two **once
+//! per request**, from what they can observe — `budget.is_unlimited() &&
+//! !tracer.enabled()` — never per kernel call.
 //!
 //! **Degradation ladder for `enumerate`.** A deadline or cancellation
 //! trip always unwinds with an error — a caller out of time has no use
@@ -29,22 +35,118 @@
 //! reduce/semijoin phases, or in `boolean`/`count` runs (whose outputs
 //! are scalars that must be exact), stay hard errors.
 
-use crate::binding::EvalError;
-use crate::pipeline::{pair_mut, saturating_sum, var_pairs, Pipeline};
-use crate::sharded::ShardConfig;
-use hypergraph::{Ix, VertexId};
 use hypertree_core::{QueryBudget, QueryError};
-use relation::meter::{CostMeter, Trip};
-use relation::{ops, shard, Relation};
+use relation::meter::{CostMeter, NoMeter, Trip};
+use relation::Relation;
+
+/// What an evaluation runs under: a budget to poll and a tracer to
+/// record into. See the module docs for the two implementations.
+pub trait ExecCtx {
+    /// The meter this context hands to the relational kernels.
+    type Meter: CostMeter;
+
+    /// Poll deadline and cancellation on behalf of `phase`.
+    fn check(&self, phase: &'static str) -> Result<(), QueryError>;
+
+    /// Account `bytes` of scratch against the byte quota.
+    fn charge_bytes(&self, bytes: u64) -> Result<(), QueryError>;
+
+    /// A kernel meter for one step of `phase`, attributing scanned rows
+    /// to plan node `node` (if any). With `enforce_memory` off, byte
+    /// charges are accounted but never trip — what `enumerate`'s join
+    /// phase runs under once it has truncated: the quota has by then
+    /// tripped once, and the remaining work is bounded by the truncated
+    /// prefix and still deadline-checked.
+    fn meter(&self, phase: &'static str, node: Option<usize>, enforce_memory: bool) -> Self::Meter;
+
+    /// The tracer phase spans and node row counts go to.
+    fn tracer(&self) -> &obs::Tracer;
+}
+
+/// No budget, no tracer: the context of every context-free entry point.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Unlimited;
+
+impl ExecCtx for Unlimited {
+    type Meter = NoMeter;
+
+    #[inline]
+    fn check(&self, _phase: &'static str) -> Result<(), QueryError> {
+        Ok(())
+    }
+
+    #[inline]
+    fn charge_bytes(&self, _bytes: u64) -> Result<(), QueryError> {
+        Ok(())
+    }
+
+    #[inline]
+    fn meter(&self, _phase: &'static str, _node: Option<usize>, _enforce: bool) -> NoMeter {
+        NoMeter
+    }
+
+    #[inline]
+    fn tracer(&self) -> &obs::Tracer {
+        static OFF: obs::Tracer = obs::Tracer::off();
+        &OFF
+    }
+}
+
+/// A run under `budget`, recorded into `tracer` (pass
+/// [`obs::Tracer::off`]'s value to record nothing).
+#[derive(Clone, Copy)]
+pub struct Governed<'a> {
+    budget: &'a QueryBudget,
+    tracer: &'a obs::Tracer,
+}
+
+impl<'a> Governed<'a> {
+    /// Govern by `budget`, record into `tracer`.
+    pub fn new(budget: &'a QueryBudget, tracer: &'a obs::Tracer) -> Self {
+        Governed { budget, tracer }
+    }
+}
+
+impl<'a> ExecCtx for Governed<'a> {
+    type Meter = BudgetMeter<'a>;
+
+    #[inline]
+    fn check(&self, phase: &'static str) -> Result<(), QueryError> {
+        self.budget.check(phase)
+    }
+
+    #[inline]
+    fn charge_bytes(&self, bytes: u64) -> Result<(), QueryError> {
+        self.budget.charge_bytes(bytes)
+    }
+
+    fn meter(
+        &self,
+        phase: &'static str,
+        node: Option<usize>,
+        enforce_memory: bool,
+    ) -> BudgetMeter<'a> {
+        BudgetMeter {
+            budget: self.budget,
+            phase,
+            enforce_memory,
+            tap: self.tracer.io(),
+            node_tap: node.map_or(obs::IoTap::disabled(), |n| self.tracer.node_tap(n)),
+        }
+    }
+
+    #[inline]
+    fn tracer(&self) -> &obs::Tracer {
+        self.tracer
+    }
+}
 
 /// [`QueryBudget`] seen through the kernels' [`CostMeter`] hook.
 ///
 /// `tick` maps deadline/cancellation onto [`Trip`]; `charge_bytes`
-/// accounts into the budget's byte gauge and trips its quota — unless
-/// `enforce_memory` is off, which the join phase uses after a truncation
-/// (the quota has by then already tripped once; the remaining work is
-/// bounded by the truncated prefix and still deadline-checked).
-pub(crate) struct BudgetMeter<'a> {
+/// accounts into the budget's byte gauge and trips its quota unless
+/// `enforce_memory` is off (see [`ExecCtx::meter`]).
+pub struct BudgetMeter<'a> {
     budget: &'a QueryBudget,
     phase: &'static str,
     enforce_memory: bool,
@@ -55,38 +157,6 @@ pub(crate) struct BudgetMeter<'a> {
     // Second tap scoped to the plan node the metered step works on, so
     // EXPLAIN ANALYZE can attribute scan work per node.
     node_tap: obs::IoTap<'a>,
-}
-
-impl<'a> BudgetMeter<'a> {
-    pub(crate) fn new(budget: &'a QueryBudget, phase: &'static str) -> Self {
-        BudgetMeter {
-            budget,
-            phase,
-            enforce_memory: true,
-            tap: obs::IoTap::disabled(),
-            node_tap: obs::IoTap::disabled(),
-        }
-    }
-
-    fn unenforced(budget: &'a QueryBudget, phase: &'static str) -> Self {
-        BudgetMeter {
-            budget,
-            phase,
-            enforce_memory: false,
-            tap: obs::IoTap::disabled(),
-            node_tap: obs::IoTap::disabled(),
-        }
-    }
-
-    pub(crate) fn with_tap(mut self, tap: obs::IoTap<'a>) -> Self {
-        self.tap = tap;
-        self
-    }
-
-    pub(crate) fn with_node_tap(mut self, tap: obs::IoTap<'a>) -> Self {
-        self.node_tap = tap;
-        self
-    }
 }
 
 impl CostMeter for BudgetMeter<'_> {
@@ -115,7 +185,8 @@ impl CostMeter for BudgetMeter<'_> {
 
 /// Record every node relation's current size as its pipeline-entry row
 /// count (one branch per node when tracing is off).
-fn note_nodes_in(obs: &obs::Tracer, rels: &[Relation]) {
+#[inline]
+pub(crate) fn note_nodes_in(obs: &obs::Tracer, rels: &[Relation]) {
     if obs.enabled() {
         obs.init_nodes(rels.len());
         for (i, r) in rels.iter().enumerate() {
@@ -125,7 +196,8 @@ fn note_nodes_in(obs: &obs::Tracer, rels: &[Relation]) {
 }
 
 /// Record every node relation's current size as its survivor count.
-fn note_nodes_out(obs: &obs::Tracer, rels: &[Relation]) {
+#[inline]
+pub(crate) fn note_nodes_out(obs: &obs::Tracer, rels: &[Relation]) {
     if obs.enabled() {
         for (i, r) in rels.iter().enumerate() {
             obs.note_node_rows_out(i, r.len() as u64);
@@ -143,465 +215,10 @@ pub(crate) fn trip_to_error(trip: Trip, phase: &'static str) -> QueryError {
     }
 }
 
-impl Pipeline {
-    /// One governed edge of a semijoin sweep, sharded when large enough
-    /// under `cfg` (mirrors the ungoverned `semijoin_step`).
-    fn semijoin_step_governed(
-        left: &mut Relation,
-        left_cols: &[usize],
-        right: &Relation,
-        right_cols: &[usize],
-        cfg: &ShardConfig,
-        shards: usize,
-        meter: &BudgetMeter<'_>,
-    ) -> Result<(), Trip> {
-        if cfg.step_shards(shards, left.len(), right.len()) {
-            shard::retain_semijoin_cols_sharded_governed(
-                left, left_cols, right, right_cols, shards, meter,
-            )
-        } else {
-            left.retain_semijoin_cols_governed(left_cols, right, right_cols, meter)
-        }
-    }
-
-    /// [`Pipeline::boolean`] / [`Pipeline::boolean_sharded`] under a
-    /// budget: the budget is checked before every edge and polled inside
-    /// each semijoin at chunk granularity. Sequential when
-    /// `cfg.is_sequential()`, sharded otherwise — same answer either way.
-    pub fn boolean_governed(
-        &self,
-        rels: &mut [Relation],
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<bool, QueryError> {
-        self.boolean_observed(rels, cfg, budget, &obs::Tracer::off())
-    }
-
-    /// [`Pipeline::boolean_governed`] with the semijoin sweep timed
-    /// under the tracer's `reduce` span and its row scans tapped.
-    pub fn boolean_observed(
-        &self,
-        rels: &mut [Relation],
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<bool, QueryError> {
-        const PHASE: &str = "semijoin";
-        assert_eq!(rels.len(), self.tree.len(), "one relation per node");
-        let _span = obs.span(obs::Phase::Reduce);
-        let shards = cfg.effective_shards();
-        note_nodes_in(obs, rels);
-        for &n in &self.post {
-            if let Some(p) = self.tree.parent(n) {
-                budget.check(PHASE)?;
-                // Scan work lands on the node being filtered (the
-                // parent, on the bottom-up sweep).
-                let meter = BudgetMeter::new(budget, PHASE)
-                    .with_tap(obs.io())
-                    .with_node_tap(obs.node_tap(p.index()));
-                let emptied = {
-                    let (parent, child) = pair_mut(rels, p.index(), n.index());
-                    Self::semijoin_step_governed(
-                        parent,
-                        &self.parent_cols[n.index()],
-                        child,
-                        &self.child_cols[n.index()],
-                        cfg,
-                        shards,
-                        &meter,
-                    )
-                    .map_err(|t| trip_to_error(t, PHASE))?;
-                    parent.is_empty()
-                };
-                if emptied {
-                    note_nodes_out(obs, rels);
-                    return Ok(false);
-                }
-            }
-        }
-        note_nodes_out(obs, rels);
-        Ok(!rels[self.tree.root().index()].is_empty())
-    }
-
-    /// [`Pipeline::full_reduce`] / [`Pipeline::full_reduce_sharded`]
-    /// under a budget; same per-edge checking as
-    /// [`Pipeline::boolean_governed`].
-    pub fn full_reduce_governed(
-        &self,
-        rels: &mut [Relation],
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<(), QueryError> {
-        self.full_reduce_observed(rels, cfg, budget, &obs::Tracer::off())
-    }
-
-    /// [`Pipeline::full_reduce_governed`] with the sweep timed under
-    /// the tracer's `reduce` span and its row scans tapped.
-    pub fn full_reduce_observed(
-        &self,
-        rels: &mut [Relation],
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<(), QueryError> {
-        const PHASE: &str = "semijoin";
-        assert_eq!(rels.len(), self.tree.len(), "one relation per node");
-        let _span = obs.span(obs::Phase::Reduce);
-        let shards = cfg.effective_shards();
-        note_nodes_in(obs, rels);
-        for &n in &self.post {
-            if let Some(p) = self.tree.parent(n) {
-                budget.check(PHASE)?;
-                // Bottom-up: the parent is filtered.
-                let meter = BudgetMeter::new(budget, PHASE)
-                    .with_tap(obs.io())
-                    .with_node_tap(obs.node_tap(p.index()));
-                let (parent, child) = pair_mut(rels, p.index(), n.index());
-                Self::semijoin_step_governed(
-                    parent,
-                    &self.parent_cols[n.index()],
-                    child,
-                    &self.child_cols[n.index()],
-                    cfg,
-                    shards,
-                    &meter,
-                )
-                .map_err(|t| trip_to_error(t, PHASE))?;
-            }
-        }
-        for &n in &self.pre {
-            if let Some(p) = self.tree.parent(n) {
-                budget.check(PHASE)?;
-                // Top-down: the child is filtered.
-                let meter = BudgetMeter::new(budget, PHASE)
-                    .with_tap(obs.io())
-                    .with_node_tap(obs.node_tap(n.index()));
-                let (parent, child) = pair_mut(rels, p.index(), n.index());
-                Self::semijoin_step_governed(
-                    child,
-                    &self.child_cols[n.index()],
-                    parent,
-                    &self.parent_cols[n.index()],
-                    cfg,
-                    shards,
-                    &meter,
-                )
-                .map_err(|t| trip_to_error(t, PHASE))?;
-            }
-        }
-        note_nodes_out(obs, rels);
-        Ok(())
-    }
-
-    /// [`Pipeline::enumerate`] / [`Pipeline::enumerate_sharded`] under a
-    /// budget. Returns `(answers, truncated)`: `truncated == true` means
-    /// the byte quota tripped during the join phase and the rows are a
-    /// sound subset of the full answer (see the module docs for the
-    /// degradation ladder). Deadline and cancellation trips error.
-    pub fn enumerate_governed(
-        &self,
-        rels: &mut [Relation],
-        output: &[VertexId],
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<(Relation, bool), QueryError> {
-        self.enumerate_observed(rels, output, cfg, budget, &obs::Tracer::off())
-    }
-
-    /// [`Pipeline::enumerate_governed`] with the sweep and join phases
-    /// timed under the tracer's `reduce` and `join` spans.
-    pub fn enumerate_observed(
-        &self,
-        rels: &mut [Relation],
-        output: &[VertexId],
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<(Relation, bool), QueryError> {
-        self.full_reduce_observed(rels, cfg, budget, obs)?;
-        self.join_phase_observed(rels, output, budget, obs)
-    }
-
-    /// The governed join/projection phase of `enumerate`. Runs the joins
-    /// sequentially — a truncated sharded join would cut rows at
-    /// arbitrary per-chunk positions, while the sequential kernel
-    /// truncates to a clean prefix — over relations the (sharded,
-    /// governed) full reduction has already filtered.
-    fn join_phase_observed(
-        &self,
-        rels: &mut [Relation],
-        output: &[VertexId],
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<(Relation, bool), QueryError> {
-        const PHASE: &str = "join";
-        let _span = obs.span(obs::Phase::Join);
-        let tap = obs.io();
-        let mut truncated = false;
-        let mut work: Vec<(Vec<VertexId>, Relation)> = self
-            .vars
-            .iter()
-            .cloned()
-            .zip(rels.iter_mut().map(std::mem::take))
-            .collect();
-
-        for &n in &self.post {
-            budget.check(PHASE)?;
-            let (mut vars, mut rel) = std::mem::take(&mut work[n.index()]);
-            for &c in self.tree.children(n) {
-                let (cvars, crel) = std::mem::take(&mut work[c.index()]);
-                let pairs = var_pairs(&vars, &cvars);
-                let keep: Vec<usize> = (0..cvars.len())
-                    .filter(|&j| !vars.contains(&cvars[j]))
-                    .collect();
-                let meter = if truncated {
-                    BudgetMeter::unenforced(budget, PHASE)
-                } else {
-                    BudgetMeter::new(budget, PHASE)
-                }
-                .with_tap(tap)
-                .with_node_tap(obs.node_tap(n.index()));
-                let (joined, t) = ops::join_governed(&rel, &crel, &pairs, &keep, &meter, true)
-                    .map_err(|t| trip_to_error(t, PHASE))?;
-                truncated |= t;
-                rel = joined;
-                for j in keep {
-                    vars.push(cvars[j]);
-                }
-            }
-            let parent_vars: &[VertexId] = match self.tree.parent(n) {
-                Some(p) => &self.vars[p.index()],
-                None => &[],
-            };
-            let keep_cols: Vec<usize> = (0..vars.len())
-                .filter(|&i| output.contains(&vars[i]) || parent_vars.contains(&vars[i]))
-                .collect();
-            let projected_vars: Vec<VertexId> = keep_cols.iter().map(|&i| vars[i]).collect();
-            // Projections only shrink; memory charges are advisory once
-            // truncation has started, and always accounted.
-            let meter = if truncated {
-                BudgetMeter::unenforced(budget, PHASE)
-            } else {
-                BudgetMeter::new(budget, PHASE)
-            }
-            .with_tap(tap)
-            .with_node_tap(obs.node_tap(n.index()));
-            let projected = ops::project_governed(&rel, &keep_cols, &meter)
-                .map_err(|t| trip_to_error(t, PHASE))?;
-            work[n.index()] = (projected_vars, projected);
-        }
-
-        let (vars, rel) = &work[self.tree.root().index()];
-        if output.iter().any(|v| !vars.contains(v)) {
-            debug_assert!(rel.is_empty());
-            return Ok((Relation::new(output.len()), truncated));
-        }
-        let cols: Vec<usize> = output
-            .iter()
-            // archlint::allow(panic-free-request-path, reason = "guarded by the contains() early-return above")
-            .map(|v| vars.iter().position(|w| w == v).expect("checked above"))
-            .collect();
-        let meter = if truncated {
-            BudgetMeter::unenforced(budget, PHASE)
-        } else {
-            BudgetMeter::new(budget, PHASE)
-        }
-        .with_tap(tap)
-        .with_node_tap(obs.node_tap(self.tree.root().index()));
-        let out = ops::project_governed(rel, &cols, &meter).map_err(|t| trip_to_error(t, PHASE))?;
-        Ok((out, truncated))
-    }
-
-    /// [`Pipeline::count`] / [`Pipeline::count_sharded`] under a budget:
-    /// checked before every DP edge, with the per-edge scratch (group
-    /// sums, factor probes, tuple counts) charged against the byte
-    /// quota. A memory trip is a hard error — a truncated count would be
-    /// silently wrong, unlike a truncated enumeration.
-    pub fn count_governed(
-        &self,
-        rels: &[Relation],
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<u128, QueryError> {
-        self.count_observed(rels, cfg, budget, &obs::Tracer::off())
-    }
-
-    /// [`Pipeline::count_governed`] with the DP timed under the
-    /// tracer's `count` span; each edge scans its child and parent node
-    /// relations once, and those rows are tapped.
-    pub fn count_observed(
-        &self,
-        rels: &[Relation],
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<u128, QueryError> {
-        const PHASE: &str = "count";
-        assert_eq!(rels.len(), self.tree.len(), "one relation per node");
-        let _span = obs.span(obs::Phase::Count);
-        let tap = obs.io();
-        // The DP never filters: rows in == rows out at every node.
-        note_nodes_in(obs, rels);
-        note_nodes_out(obs, rels);
-        budget.check(PHASE)?;
-        let cell = std::mem::size_of::<u128>() as u64;
-        budget.charge_bytes(rels.iter().map(|r| r.len() as u64 * cell).sum())?;
-        let shards = cfg.effective_shards();
-        let mut counts: Vec<Vec<u128>> = rels.iter().map(|r| vec![1u128; r.len()]).collect();
-        for &n in &self.post {
-            let Some(p) = self.tree.parent(n) else {
-                continue;
-            };
-            budget.check(PHASE)?;
-            // Upper bound on the edge's scratch: one sum per child group
-            // (≤ child rows) plus one factor per parent row.
-            budget.charge_bytes(
-                (rels[n.index()].len() as u64 + rels[p.index()].len() as u64) * cell,
-            )?;
-            tap.add_rows(rels[n.index()].len() as u64 + rels[p.index()].len() as u64);
-            obs.node_tap(n.index())
-                .add_rows(rels[n.index()].len() as u64);
-            obs.node_tap(p.index())
-                .add_rows(rels[p.index()].len() as u64);
-            self.count_edge(rels, &mut counts, n, p, cfg, shards);
-        }
-        Ok(saturating_sum(
-            counts[self.tree.root().index()].iter().copied(),
-        ))
-    }
-}
-
-impl crate::Strategy {
-    /// [`crate::Strategy::boolean_sharded`] under a budget (pass
-    /// [`ShardConfig::sequential`] for single-threaded execution).
-    pub fn boolean_governed(
-        &self,
-        q: &cq::ConjunctiveQuery,
-        db: &relation::Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<bool, EvalError> {
-        self.boolean_observed(q, db, cfg, budget, &obs::Tracer::off())
-    }
-
-    /// [`crate::Strategy::boolean_governed`] with the reduction and
-    /// sweep phases recorded into `obs`.
-    pub fn boolean_observed(
-        &self,
-        q: &cq::ConjunctiveQuery,
-        db: &relation::Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<bool, EvalError> {
-        budget.check("bind")?;
-        match self {
-            crate::Strategy::JoinTree(jt) => {
-                let bound = crate::bind_all(q, db)?;
-                if bound.is_empty() {
-                    return Ok(true); // empty body is vacuously true
-                }
-                let (pipeline, mut rels) = crate::pipeline_for(jt, bound);
-                Ok(pipeline.boolean_observed(&mut rels, cfg, budget, obs)?)
-            }
-            crate::Strategy::Hypertree(hd) => {
-                let (pipeline, mut rels) =
-                    crate::reduction::reduce_observed(q, db, hd, cfg, budget, obs)?.into_pipeline();
-                Ok(pipeline.boolean_observed(&mut rels, cfg, budget, obs)?)
-            }
-        }
-    }
-
-    /// [`crate::Strategy::enumerate_sharded`] under a budget. Returns
-    /// `(answers, truncated)` — see [`Pipeline::enumerate_governed`] for
-    /// the truncation semantics.
-    pub fn enumerate_governed(
-        &self,
-        q: &cq::ConjunctiveQuery,
-        db: &relation::Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<(Relation, bool), EvalError> {
-        self.enumerate_observed(q, db, cfg, budget, &obs::Tracer::off())
-    }
-
-    /// [`crate::Strategy::enumerate_governed`] recorded into `obs`: the
-    /// whole operation runs under an `enumerate` span (a container that
-    /// overlaps the nested `reduce` and `join` spans — see the
-    /// [`obs::phase`] docs).
-    pub fn enumerate_observed(
-        &self,
-        q: &cq::ConjunctiveQuery,
-        db: &relation::Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<(Relation, bool), EvalError> {
-        let _span = obs.span(obs::Phase::Enumerate);
-        budget.check("bind")?;
-        match self {
-            crate::Strategy::JoinTree(jt) => {
-                let bound = crate::bind_all(q, db)?;
-                if bound.is_empty() {
-                    let mut rel = Relation::new(0);
-                    rel.push_row(&[]);
-                    return Ok((rel, false));
-                }
-                let (pipeline, mut rels) = crate::pipeline_for(jt, bound);
-                Ok(pipeline.enumerate_observed(&mut rels, &q.head_vars(), cfg, budget, obs)?)
-            }
-            crate::Strategy::Hypertree(hd) => {
-                let (pipeline, mut rels) =
-                    crate::reduction::reduce_observed(q, db, hd, cfg, budget, obs)?.into_pipeline();
-                Ok(pipeline.enumerate_observed(&mut rels, &q.head_vars(), cfg, budget, obs)?)
-            }
-        }
-    }
-
-    /// Governed counting (cf. [`crate::counting::count_with_sharded`]).
-    pub fn count_governed(
-        &self,
-        q: &cq::ConjunctiveQuery,
-        db: &relation::Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<u128, EvalError> {
-        self.count_observed(q, db, cfg, budget, &obs::Tracer::off())
-    }
-
-    /// [`crate::Strategy::count_governed`] with the reduction and DP
-    /// phases recorded into `obs`.
-    pub fn count_observed(
-        &self,
-        q: &cq::ConjunctiveQuery,
-        db: &relation::Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<u128, EvalError> {
-        budget.check("bind")?;
-        match self {
-            crate::Strategy::JoinTree(jt) => {
-                let bound = crate::bind_all(q, db)?;
-                if bound.is_empty() {
-                    return Ok(1); // the empty substitution
-                }
-                let (pipeline, rels) = crate::pipeline_for(jt, bound);
-                Ok(pipeline.count_observed(&rels, cfg, budget, obs)?)
-            }
-            crate::Strategy::Hypertree(hd) => {
-                let (pipeline, rels) =
-                    crate::reduction::reduce_observed(q, db, hd, cfg, budget, obs)?.into_pipeline();
-                Ok(pipeline.count_observed(&rels, cfg, budget, obs)?)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Strategy;
+    use crate::{EvalError, Strategy};
     use cq::parse_query;
     use relation::Database;
     use std::time::Duration;
@@ -617,73 +234,62 @@ mod tests {
         db
     }
 
+    fn triangle() -> (cq::ConjunctiveQuery, Database) {
+        let q = parse_query("ans(X,Y,Z) :- r(X,Y), s(Y,Z), t(Z,X).").unwrap();
+        let mut db = Database::new();
+        for i in 0..30u64 {
+            db.add_fact("r", &[i % 6, (i + 1) % 6]);
+            db.add_fact("s", &[(i + 1) % 6, (i + 2) % 6]);
+            db.add_fact("t", &[(i + 2) % 6, i % 6]);
+        }
+        (q, db)
+    }
+
+    /// The zero-sized context and a live one that never trips are two
+    /// instantiations of every body; they must agree byte for byte.
+    fn assert_governed_matches_unlimited(q: &cq::ConjunctiveQuery, db: &Database) {
+        let budget = QueryBudget::unlimited();
+        let off = obs::Tracer::off();
+        let ctx = Governed::new(&budget, &off);
+        let plan = Strategy::plan(q);
+        assert_eq!(
+            plan.boolean(q, db, &ctx).unwrap(),
+            plan.boolean(q, db, &Unlimited).unwrap()
+        );
+        let (rows, truncated) = plan.enumerate(q, db, &ctx).unwrap();
+        assert!(!truncated);
+        let (plain, _) = plan.enumerate(q, db, &Unlimited).unwrap();
+        assert_eq!(rows, plain);
+        assert_eq!(
+            rows.rows().collect::<Vec<_>>(),
+            plain.rows().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            plan.count(q, db, &ctx).unwrap(),
+            plan.count(q, db, &Unlimited).unwrap()
+        );
+    }
+
     #[test]
     fn unlimited_budget_matches_ungoverned_answers() {
         let q = parse_query("ans(A,B) :- hub(A,B,C), p(A), p2(B), p3(C).").unwrap();
-        let db = star_db(300);
-        let budget = QueryBudget::unlimited();
-        for cfg in [
-            ShardConfig::sequential(),
-            ShardConfig {
-                shards: 3,
-                min_rows: 0,
-            },
-        ] {
-            let plan = Strategy::plan(&q);
-            assert_eq!(
-                plan.boolean_governed(&q, &db, &cfg, &budget).unwrap(),
-                plan.boolean(&q, &db).unwrap()
-            );
-            let (rows, truncated) = plan.enumerate_governed(&q, &db, &cfg, &budget).unwrap();
-            assert!(!truncated);
-            let plain = plan.enumerate(&q, &db).unwrap();
-            assert_eq!(rows, plain);
-            assert_eq!(
-                rows.rows().collect::<Vec<_>>(),
-                plain.rows().collect::<Vec<_>>()
-            );
-            assert_eq!(
-                plan.count_governed(&q, &db, &cfg, &budget).unwrap(),
-                crate::counting::count_with(&plan, &q, &db).unwrap()
-            );
-        }
+        assert_governed_matches_unlimited(&q, &star_db(300));
     }
 
     #[test]
     fn governed_cyclic_queries_agree_too() {
-        let q = parse_query("ans(X,Y,Z) :- r(X,Y), s(Y,Z), t(Z,X).").unwrap();
-        let mut db = Database::new();
-        for i in 0..30u64 {
-            db.add_fact("r", &[i % 6, (i + 1) % 6]);
-            db.add_fact("s", &[(i + 1) % 6, (i + 2) % 6]);
-            db.add_fact("t", &[(i + 2) % 6, i % 6]);
-        }
-        let plan = Strategy::plan(&q);
-        assert!(matches!(plan, Strategy::Hypertree(_)));
-        let budget = QueryBudget::unlimited();
-        let cfg = ShardConfig::sequential();
-        assert_eq!(
-            plan.boolean_governed(&q, &db, &cfg, &budget).unwrap(),
-            plan.boolean(&q, &db).unwrap()
-        );
-        let (rows, truncated) = plan.enumerate_governed(&q, &db, &cfg, &budget).unwrap();
-        assert!(!truncated);
-        assert_eq!(rows, plan.enumerate(&q, &db).unwrap());
+        let (q, db) = triangle();
+        assert!(matches!(Strategy::plan(&q), Strategy::Hypertree(_)));
+        assert_governed_matches_unlimited(&q, &db);
     }
 
     #[test]
     fn observed_runs_attribute_rows_per_node() {
-        let q = parse_query("ans(X,Y,Z) :- r(X,Y), s(Y,Z), t(Z,X).").unwrap();
-        let mut db = Database::new();
-        for i in 0..30u64 {
-            db.add_fact("r", &[i % 6, (i + 1) % 6]);
-            db.add_fact("s", &[(i + 1) % 6, (i + 2) % 6]);
-            db.add_fact("t", &[(i + 2) % 6, i % 6]);
-        }
+        let (q, db) = triangle();
         let plan = Strategy::plan(&q);
         let budget = QueryBudget::unlimited();
         let obs = obs::Tracer::on();
-        plan.enumerate_observed(&q, &db, &ShardConfig::sequential(), &budget, &obs)
+        plan.enumerate(&q, &db, &Governed::new(&budget, &obs))
             .unwrap();
         let tr = obs.finish(obs::TraceOutcome::default()).unwrap();
         assert!(!tr.node_rows.is_empty(), "node table never declared");
@@ -693,20 +299,6 @@ mod tests {
             // Semijoins only filter.
             assert!(nr.rows_out <= nr.rows_in, "survivors exceed input");
         }
-        // Sharded workers share the same cells through &Tracer.
-        let obs2 = obs::Tracer::on();
-        let cfg = ShardConfig {
-            shards: 2,
-            min_rows: 0,
-        };
-        plan.enumerate_observed(&q, &db, &cfg, &budget, &obs2)
-            .unwrap();
-        let tr2 = obs2.finish(obs::TraceOutcome::default()).unwrap();
-        assert_eq!(
-            tr.node_rows.iter().map(|n| n.rows_out).collect::<Vec<_>>(),
-            tr2.node_rows.iter().map(|n| n.rows_out).collect::<Vec<_>>(),
-            "survivor counts must not depend on sharding"
-        );
     }
 
     #[test]
@@ -715,9 +307,8 @@ mod tests {
         let db = star_db(200);
         let budget = QueryBudget::unlimited().with_deadline(Duration::ZERO);
         std::thread::sleep(Duration::from_millis(2));
-        let plan = Strategy::plan(&q);
-        let err = plan
-            .boolean_governed(&q, &db, &ShardConfig::sequential(), &budget)
+        let err = Strategy::plan(&q)
+            .boolean(&q, &db, &Governed::new(&budget, &obs::Tracer::off()))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -731,9 +322,8 @@ mod tests {
         let db = star_db(200);
         let budget = QueryBudget::unlimited();
         budget.cancel();
-        let plan = Strategy::plan(&q);
-        let err = plan
-            .boolean_governed(&q, &db, &ShardConfig::sequential(), &budget)
+        let err = Strategy::plan(&q)
+            .boolean(&q, &db, &Governed::new(&budget, &obs::Tracer::off()))
             .unwrap_err();
         assert_eq!(err, EvalError::Budget(QueryError::Cancelled));
     }
@@ -752,12 +342,13 @@ mod tests {
             db.add_fact("s", &[1, i]);
         }
         let plan = Strategy::plan(&q);
-        let full = plan.enumerate(&q, &db).unwrap();
+        let (full, _) = plan.enumerate(&q, &db, &Unlimited).unwrap();
         assert_eq!(full.len(), 40_000);
+        let off = obs::Tracer::off();
         // A quota big enough for the inputs but not the 40k-row output.
         let budget = QueryBudget::unlimited().with_byte_quota(150 * 1024);
         let (partial, truncated) = plan
-            .enumerate_governed(&q, &db, &ShardConfig::sequential(), &budget)
+            .enumerate(&q, &db, &Governed::new(&budget, &off))
             .unwrap();
         assert!(truncated, "the quota must trip");
         assert!(partial.len() < full.len());
@@ -769,7 +360,7 @@ mod tests {
         // number.
         let budget = QueryBudget::unlimited().with_byte_quota(16);
         let err = plan
-            .count_governed(&q, &db, &ShardConfig::sequential(), &budget)
+            .count(&q, &db, &Governed::new(&budget, &off))
             .unwrap_err();
         assert!(matches!(
             err,

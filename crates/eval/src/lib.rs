@@ -14,6 +14,13 @@
 //! acyclic queries go straight to Yannakakis; cyclic ones get an optimal
 //! hypertree decomposition first.
 //!
+//! There is one execution path. Every operation — on [`Pipeline`], in
+//! [`reduction`], on [`Strategy`] — has a single body, generic over the
+//! [`ExecCtx`] it runs under: [`Unlimited`] (no budget, no tracer; what
+//! the context-free forms pass) or [`Governed`] (a
+//! `hypertree_core::QueryBudget` polled cooperatively, an `obs::Tracer`
+//! recorded into). See [`governed`].
+//!
 //! # Example
 //!
 //! ```
@@ -40,14 +47,13 @@ pub mod governed;
 pub mod naive;
 pub mod pipeline;
 pub mod reduction;
-pub mod sharded;
 pub mod yannakakis;
 
 pub use binding::{bind_all, bind_atom, BoundAtom, EvalError};
 pub use containment::{contained_in, equivalent};
 pub use counting::count_assignments;
+pub use governed::{ExecCtx, Governed, Unlimited};
 pub use pipeline::Pipeline;
-pub use sharded::ShardConfig;
 
 use cq::ConjunctiveQuery;
 use hypergraph::{acyclic, Ix};
@@ -125,81 +131,76 @@ impl Strategy {
         }
     }
 
-    /// Evaluate the Boolean query under this plan.
-    pub fn boolean(&self, q: &ConjunctiveQuery, db: &Database) -> Result<bool, EvalError> {
+    /// Bind `q` over `db` and compile this plan's pipeline: the bound
+    /// atoms in join-tree order, or the Lemma 4.6 node relations. `None`
+    /// for a join tree over an empty body, which has nothing to run.
+    fn instantiate<C: ExecCtx>(
+        &self,
+        q: &ConjunctiveQuery,
+        db: &Database,
+        ctx: &C,
+    ) -> Result<Option<(Pipeline, Vec<Relation>)>, EvalError> {
+        ctx.check("bind")?;
         match self {
             Strategy::JoinTree(jt) => {
                 let bound = bind_all(q, db)?;
-                if bound.is_empty() {
-                    return Ok(true); // empty body is vacuously true
-                }
-                let (pipeline, mut rels) = pipeline_for(jt, bound);
-                Ok(pipeline.boolean(&mut rels))
+                Ok((!bound.is_empty()).then(|| pipeline_for(jt, bound)))
             }
-            Strategy::Hypertree(hd) => reduction::boolean_via_hd(q, db, hd),
+            Strategy::Hypertree(hd) => {
+                Ok(Some(reduction::reduce_in(q, db, hd, ctx)?.into_pipeline()))
+            }
+        }
+    }
+
+    /// Evaluate the Boolean query under this plan.
+    pub fn boolean<C: ExecCtx>(
+        &self,
+        q: &ConjunctiveQuery,
+        db: &Database,
+        ctx: &C,
+    ) -> Result<bool, EvalError> {
+        match self.instantiate(q, db, ctx)? {
+            Some((pipeline, mut rels)) => Ok(pipeline.boolean_in(&mut rels, ctx)?),
+            None => Ok(true), // empty body is vacuously true
         }
     }
 
     /// Evaluate the (possibly non-Boolean) query under this plan,
-    /// returning the answers over the head variables.
-    pub fn enumerate(&self, q: &ConjunctiveQuery, db: &Database) -> Result<Relation, EvalError> {
-        match self {
-            Strategy::JoinTree(jt) => {
-                let bound = bind_all(q, db)?;
-                if bound.is_empty() {
-                    let mut rel = Relation::new(0);
-                    rel.push_row(&[]);
-                    return Ok(rel);
-                }
-                let (pipeline, mut rels) = pipeline_for(jt, bound);
-                Ok(pipeline.enumerate(&mut rels, &q.head_vars()))
-            }
-            Strategy::Hypertree(hd) => reduction::enumerate_via_hd(q, db, hd),
-        }
-    }
-
-    /// [`Strategy::boolean`] with intra-query sharded execution (see
-    /// [`crate::sharded`]): large semijoin/join steps run hash-partitioned
-    /// across `cfg` shards. Byte-identical answers.
-    pub fn boolean_sharded(
+    /// returning `(answers over the head variables, truncated)` — see
+    /// [`Pipeline::enumerate_in`] for when a governed run truncates; under
+    /// [`Unlimited`] it never does. The whole operation runs under the
+    /// tracer's `enumerate` span (a container that overlaps the nested
+    /// `reduce` and `join` spans — see the [`obs::phase`] docs).
+    pub fn enumerate<C: ExecCtx>(
         &self,
         q: &ConjunctiveQuery,
         db: &Database,
-        cfg: &ShardConfig,
-    ) -> Result<bool, EvalError> {
-        match self {
-            Strategy::JoinTree(jt) => {
-                let bound = bind_all(q, db)?;
-                if bound.is_empty() {
-                    return Ok(true); // empty body is vacuously true
-                }
-                let (pipeline, mut rels) = pipeline_for(jt, bound);
-                Ok(pipeline.boolean_sharded(&mut rels, cfg))
+        ctx: &C,
+    ) -> Result<(Relation, bool), EvalError> {
+        let _span = ctx.tracer().span(obs::Phase::Enumerate);
+        match self.instantiate(q, db, ctx)? {
+            Some((pipeline, mut rels)) => {
+                Ok(pipeline.enumerate_in(&mut rels, &q.head_vars(), ctx)?)
             }
-            Strategy::Hypertree(hd) => reduction::boolean_via_hd_sharded(q, db, hd, cfg),
+            None => {
+                let mut rel = Relation::new(0);
+                rel.push_row(&[]);
+                Ok((rel, false))
+            }
         }
     }
 
-    /// [`Strategy::enumerate`] with intra-query sharded execution (see
-    /// [`crate::sharded`]). Byte-identical answers, row order included.
-    pub fn enumerate_sharded(
+    /// Count the satisfying substitutions over `var(q)` under this plan
+    /// (see [`counting`]; saturates at `u128::MAX`).
+    pub fn count<C: ExecCtx>(
         &self,
         q: &ConjunctiveQuery,
         db: &Database,
-        cfg: &ShardConfig,
-    ) -> Result<Relation, EvalError> {
-        match self {
-            Strategy::JoinTree(jt) => {
-                let bound = bind_all(q, db)?;
-                if bound.is_empty() {
-                    let mut rel = Relation::new(0);
-                    rel.push_row(&[]);
-                    return Ok(rel);
-                }
-                let (pipeline, mut rels) = pipeline_for(jt, bound);
-                Ok(pipeline.enumerate_sharded(&mut rels, &q.head_vars(), cfg))
-            }
-            Strategy::Hypertree(hd) => reduction::enumerate_via_hd_sharded(q, db, hd, cfg),
+        ctx: &C,
+    ) -> Result<u128, EvalError> {
+        match self.instantiate(q, db, ctx)? {
+            Some((pipeline, rels)) => Ok(pipeline.count_in(&rels, ctx)?),
+            None => Ok(1), // the empty substitution
         }
     }
 }
@@ -228,14 +229,15 @@ pub(crate) fn pipeline_for(
 
 /// Answer the Boolean query `q` on `db`, planning automatically.
 pub fn evaluate_boolean(q: &ConjunctiveQuery, db: &Database) -> Result<bool, EvalError> {
-    Strategy::plan(q).boolean(q, db)
+    Strategy::plan(q).boolean(q, db, &Unlimited)
 }
 
 /// Compute the answer relation of `q` on `db` (over the head variables),
 /// planning automatically. Output-polynomial for bounded hypertree width
 /// (Corollary 5.20).
 pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> Result<Relation, EvalError> {
-    Strategy::plan(q).enumerate(q, db)
+    let (rows, _) = Strategy::plan(q).enumerate(q, db, &Unlimited)?;
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -331,14 +333,6 @@ mod tests {
         } else {
             panic!("e/f chain is acyclic");
         }
-        // Sharded execution is byte-identical here too.
-        let plan = Strategy::plan(&q);
-        let cfg = ShardConfig {
-            shards: 3,
-            min_rows: 0,
-        };
-        assert_eq!(plan.boolean_sharded(&q, &db, &cfg), Ok(true));
-        assert_eq!(plan.enumerate_sharded(&q, &db, &cfg).unwrap(), out);
     }
 
     #[test]
@@ -357,10 +351,10 @@ mod tests {
         db.add_fact("f", &[1, 5]);
         let hd = hypertree_core::HypertreeDecomposition::trivial(&q.hypergraph());
         let plan = Strategy::from_decomposition(hd);
-        let out = plan.enumerate(&q, &db).unwrap();
+        let (out, _) = plan.enumerate(&q, &db, &Unlimited).unwrap();
         assert_eq!(out.len(), 1);
         assert!(out.contains_row(&[Value(1)]));
-        assert_eq!(counting::count_with(&plan, &q, &db), Ok(1));
+        assert_eq!(plan.count(&q, &db, &Unlimited), Ok(1));
     }
 
     #[test]
@@ -385,11 +379,11 @@ mod tests {
         ] {
             assert!(matches!(plan, Strategy::Hypertree(_)));
             assert_eq!(
-                plan.boolean(&q, &db).unwrap(),
-                Strategy::plan(&q).boolean(&q, &db).unwrap()
+                plan.boolean(&q, &db, &Unlimited).unwrap(),
+                evaluate_boolean(&q, &db).unwrap()
             );
-            let exact = Strategy::plan(&q).enumerate(&q, &db).unwrap();
-            let heur = plan.enumerate(&q, &db).unwrap();
+            let exact = evaluate(&q, &db).unwrap();
+            let (heur, _) = plan.enumerate(&q, &db, &Unlimited).unwrap();
             assert_eq!(heur.len(), exact.len());
         }
         // Acyclic queries still get join trees.
@@ -439,9 +433,9 @@ mod tests {
         db.add_fact("teaches", &[1, 7, 1]);
         db.add_fact("parent", &[1, 2]);
         let plan = Strategy::from_decomposition(hd);
-        assert_eq!(plan.boolean(&q, &db), Ok(true));
+        assert_eq!(plan.boolean(&q, &db, &Unlimited), Ok(true));
         db.insert("parent", relation::Relation::from_rows(2, &[[9u64, 9]]));
         let plan2 = plan.clone();
-        assert_eq!(plan2.boolean(&q, &db), Ok(false));
+        assert_eq!(plan2.boolean(&q, &db, &Unlimited), Ok(false));
     }
 }

@@ -5,7 +5,10 @@
 //! post-/pre-order schedules and, per join-tree edge, the shared-variable
 //! column lists for both directions — and then runs `boolean` /
 //! `full_reduce` / `enumerate` / `count` *in place* over a caller-owned
-//! `&mut [Relation]`:
+//! `&mut [Relation]`. Each operation has one body, the `*_in` method,
+//! generic over the [`ExecCtx`] it runs under (budget polling, byte
+//! accounting, tracing — see [`crate::governed`]); the context-free name
+//! is that body under [`Unlimited`], where all of it compiles away.
 //!
 //! * node relations are never cloned — sweeps filter rows with
 //!   [`Relation::retain_semijoin_cols`] instead of materializing new
@@ -24,14 +27,11 @@
 //! counting extension all drive the pipeline directly.
 
 use crate::binding::BoundAtom;
+use crate::governed::{note_nodes_in, note_nodes_out, trip_to_error, ExecCtx, Unlimited};
 use hypergraph::{Ix, NodeId, RootedTree, VertexId};
+use hypertree_core::QueryError;
+use relation::meter::untripped;
 use relation::{ops, Relation};
-
-/// The join-operator signature shared by the sequential pipeline, the
-/// sharded pipeline, and the Lemma 4.6 reduction: `(left, right,
-/// column pairs, right columns to keep) -> joined relation`.
-pub(crate) type JoinFn<'a> =
-    dyn Fn(&Relation, &Relation, &[(usize, usize)], &[usize]) -> Relation + 'a;
 
 /// Column pairs between two variable lists (join keys on shared vars).
 ///
@@ -42,7 +42,7 @@ pub(crate) type JoinFn<'a> =
 /// (possible through the public `Pipeline::new`) the all-pairs form is
 /// what actually enforces the variable's equality semantics: pairing only
 /// first occurrences would silently leave later columns unconstrained.
-pub(crate) fn var_pairs(left: &[VertexId], right: &[VertexId]) -> Vec<(usize, usize)> {
+fn var_pairs(left: &[VertexId], right: &[VertexId]) -> Vec<(usize, usize)> {
     let mut pairs = Vec::new();
     for (i, v) in left.iter().enumerate() {
         for (j, w) in right.iter().enumerate() {
@@ -132,71 +132,141 @@ impl Pipeline {
     /// One bottom-up semijoin sweep, in place; returns `true` iff the
     /// Boolean query holds (the root stays non-empty). Exits early as soon
     /// as any parent empties — it can never recover.
+    /// [`Pipeline::boolean_in`] under [`Unlimited`].
     pub fn boolean(&self, rels: &mut [Relation]) -> bool {
-        assert_eq!(rels.len(), self.tree.len(), "one relation per node");
-        for &n in &self.post {
-            if let Some(p) = self.tree.parent(n) {
-                let (parent, child) = pair_mut(rels, p.index(), n.index());
-                parent.retain_semijoin_cols(
-                    &self.parent_cols[n.index()],
-                    child,
-                    &self.child_cols[n.index()],
-                );
-                if parent.is_empty() {
-                    return false;
-                }
-            }
-        }
-        !rels[self.tree.root().index()].is_empty()
+        untripped(self.boolean_in(rels, &Unlimited))
     }
 
     /// The full reducer: bottom-up then top-down semijoin sweeps, in
     /// place. Afterwards every remaining tuple of every node participates
-    /// in at least one answer.
+    /// in at least one answer. [`Pipeline::full_reduce_in`] under
+    /// [`Unlimited`].
     pub fn full_reduce(&self, rels: &mut [Relation]) {
-        assert_eq!(rels.len(), self.tree.len(), "one relation per node");
-        for &n in &self.post {
-            if let Some(p) = self.tree.parent(n) {
-                let (parent, child) = pair_mut(rels, p.index(), n.index());
-                parent.retain_semijoin_cols(
-                    &self.parent_cols[n.index()],
-                    child,
-                    &self.child_cols[n.index()],
-                );
-            }
-        }
-        for &n in &self.pre {
-            if let Some(p) = self.tree.parent(n) {
-                let (parent, child) = pair_mut(rels, p.index(), n.index());
-                child.retain_semijoin_cols(
-                    &self.child_cols[n.index()],
-                    parent,
-                    &self.parent_cols[n.index()],
-                );
-            }
-        }
+        untripped(self.full_reduce_in(rels, &Unlimited))
     }
 
     /// Enumerate the answers projected onto `output` (Theorem 4.8 shape):
     /// full-reduce in place, then join bottom-up keeping only output
     /// variables and the variables shared with the yet-unjoined parent.
+    /// [`Pipeline::enumerate_in`] under [`Unlimited`].
     ///
     /// Consumes the contents of `rels` (each slot is left empty).
     pub fn enumerate(&self, rels: &mut [Relation], output: &[VertexId]) -> Relation {
-        self.full_reduce(rels);
-        self.join_phase(rels, output, &|l, r, on, keep| ops::join(l, r, on, keep))
+        untripped(self.enumerate_in(rels, output, &Unlimited)).0
     }
 
-    /// The bottom-up join/projection phase of `enumerate`, over already
-    /// fully reduced relations, with the join operator abstracted out so
-    /// the sharded pipeline (see [`crate::sharded`]) can substitute the
-    /// hash-partitioned join without duplicating the bookkeeping.
-    pub(crate) fn join_phase(
+    /// Count the satisfying substitutions by the bottom-up product-sum DP
+    /// (the counting extension of Yannakakis' algorithm; see
+    /// [`crate::counting`]). [`Pipeline::count_in`] under [`Unlimited`].
+    pub fn count(&self, rels: &[Relation]) -> u128 {
+        untripped(self.count_in(rels, &Unlimited))
+    }
+
+    /// One edge of a semijoin sweep: keep the rows of node `filtered`
+    /// that match node `by`. The context is checked before the edge and
+    /// polled inside the kernel at chunk granularity; scan work lands on
+    /// the node being filtered.
+    fn semijoin_edge<C: ExecCtx>(
+        &self,
+        rels: &mut [Relation],
+        (filtered, filtered_cols): (NodeId, &[usize]),
+        (by, by_cols): (NodeId, &[usize]),
+        ctx: &C,
+    ) -> Result<(), QueryError> {
+        const PHASE: &str = "semijoin";
+        ctx.check(PHASE)?;
+        let meter = ctx.meter(PHASE, Some(filtered.index()), true);
+        let (left, right) = pair_mut(rels, filtered.index(), by.index());
+        left.retain_semijoin_cols_metered(filtered_cols, right, by_cols, &meter)
+            .map_err(|t| trip_to_error(t, PHASE))
+    }
+
+    /// The Boolean sweep (see [`Pipeline::boolean`]) under `ctx`, timed
+    /// under the tracer's `reduce` span. An `Err` leaves every relation
+    /// either untouched or validly filtered — never half-compacted.
+    pub fn boolean_in<C: ExecCtx>(
+        &self,
+        rels: &mut [Relation],
+        ctx: &C,
+    ) -> Result<bool, QueryError> {
+        assert_eq!(rels.len(), self.tree.len(), "one relation per node");
+        let obs = ctx.tracer();
+        let _span = obs.span(obs::Phase::Reduce);
+        note_nodes_in(obs, rels);
+        for &n in &self.post {
+            if let Some(p) = self.tree.parent(n) {
+                let (parent_cols, child_cols) = self.edge_cols(n);
+                self.semijoin_edge(rels, (p, parent_cols), (n, child_cols), ctx)?;
+                if rels[p.index()].is_empty() {
+                    note_nodes_out(obs, rels);
+                    return Ok(false);
+                }
+            }
+        }
+        note_nodes_out(obs, rels);
+        Ok(!rels[self.tree.root().index()].is_empty())
+    }
+
+    /// The full reducer (see [`Pipeline::full_reduce`]) under `ctx`; same
+    /// per-edge checking and span as [`Pipeline::boolean_in`].
+    pub fn full_reduce_in<C: ExecCtx>(
+        &self,
+        rels: &mut [Relation],
+        ctx: &C,
+    ) -> Result<(), QueryError> {
+        assert_eq!(rels.len(), self.tree.len(), "one relation per node");
+        let obs = ctx.tracer();
+        let _span = obs.span(obs::Phase::Reduce);
+        note_nodes_in(obs, rels);
+        for &n in &self.post {
+            if let Some(p) = self.tree.parent(n) {
+                let (parent_cols, child_cols) = self.edge_cols(n);
+                self.semijoin_edge(rels, (p, parent_cols), (n, child_cols), ctx)?;
+            }
+        }
+        for &n in &self.pre {
+            if let Some(p) = self.tree.parent(n) {
+                let (parent_cols, child_cols) = self.edge_cols(n);
+                self.semijoin_edge(rels, (n, child_cols), (p, parent_cols), ctx)?;
+            }
+        }
+        note_nodes_out(obs, rels);
+        Ok(())
+    }
+
+    /// The (parent-side, child-side) shared columns of the edge above
+    /// non-root node `n`.
+    fn edge_cols(&self, n: NodeId) -> (&[usize], &[usize]) {
+        (&self.parent_cols[n.index()], &self.child_cols[n.index()])
+    }
+
+    /// Enumeration (see [`Pipeline::enumerate`]) under `ctx`. Returns
+    /// `(answers, truncated)`: `truncated == true` means the byte quota
+    /// tripped during the join phase and the rows are a sound subset of
+    /// the full answer (see the [`crate::governed`] docs for the
+    /// degradation ladder). Deadline and cancellation trips error.
+    pub fn enumerate_in<C: ExecCtx>(
         &self,
         rels: &mut [Relation],
         output: &[VertexId],
-        join: &JoinFn,
-    ) -> Relation {
+        ctx: &C,
+    ) -> Result<(Relation, bool), QueryError> {
+        self.full_reduce_in(rels, ctx)?;
+        self.join_phase(rels, output, ctx)
+    }
+
+    /// The bottom-up join/projection phase of `enumerate`, over already
+    /// fully reduced relations, timed under the tracer's `join` span.
+    fn join_phase<C: ExecCtx>(
+        &self,
+        rels: &mut [Relation],
+        output: &[VertexId],
+        ctx: &C,
+    ) -> Result<(Relation, bool), QueryError> {
+        const PHASE: &str = "join";
+        let _span = ctx.tracer().span(obs::Phase::Join);
+        let trip = |t| trip_to_error(t, PHASE);
+        let mut truncated = false;
         // Working annotations: (vars, relation) per node, consumed
         // bottom-up; the reduced relations are moved in, not cloned.
         let mut work: Vec<(Vec<VertexId>, Relation)> = self
@@ -206,17 +276,20 @@ impl Pipeline {
             .zip(rels.iter_mut().map(std::mem::take))
             .collect();
 
-        // archlint::allow(budget-polled-loops, reason = "ungoverned pipeline kept for budget-less callers; the governed twin polls per kernel call")
         for &n in &self.post {
+            ctx.check(PHASE)?;
             let (mut vars, mut rel) = std::mem::take(&mut work[n.index()]);
-            // archlint::allow(budget-polled-loops, reason = "ungoverned pipeline kept for budget-less callers; the governed twin polls per kernel call")
             for &c in self.tree.children(n) {
                 let (cvars, crel) = std::mem::take(&mut work[c.index()]);
                 let pairs = var_pairs(&vars, &cvars);
                 let keep: Vec<usize> = (0..cvars.len())
                     .filter(|&j| !vars.contains(&cvars[j]))
                     .collect();
-                rel = join(&rel, &crel, &pairs, &keep);
+                let meter = ctx.meter(PHASE, Some(n.index()), !truncated);
+                let (joined, cut) =
+                    ops::join_metered(&rel, &crel, &pairs, &keep, &meter, true).map_err(trip)?;
+                truncated |= cut;
+                rel = joined;
                 for j in keep {
                     vars.push(cvars[j]);
                 }
@@ -230,54 +303,76 @@ impl Pipeline {
                 .filter(|&i| output.contains(&vars[i]) || parent_vars.contains(&vars[i]))
                 .collect();
             let projected_vars: Vec<VertexId> = keep_cols.iter().map(|&i| vars[i]).collect();
-            let projected = ops::project(&rel, &keep_cols);
+            // Projections only shrink; memory charges are advisory once
+            // truncation has started, and always accounted.
+            let meter = ctx.meter(PHASE, Some(n.index()), !truncated);
+            let projected = ops::project_metered(&rel, &keep_cols, &meter).map_err(trip)?;
             work[n.index()] = (projected_vars, projected);
         }
 
         // Root now holds the answers over (a permutation of) the output
         // vars; order the columns as requested, duplicating columns for
         // repeated output variables.
-        let (vars, rel) = &work[self.tree.root().index()];
-        if output.iter().any(|v| !vars.contains(v)) {
+        let root = self.tree.root().index();
+        let (vars, rel) = &work[root];
+        let cols: Option<Vec<usize>> = output
+            .iter()
+            .map(|v| vars.iter().position(|w| w == v))
+            .collect();
+        let Some(cols) = cols else {
             // Some output variable vanished: only possible when the result
             // is empty (full reduction would otherwise have kept it via an
             // atom).
             debug_assert!(rel.is_empty());
-            return Relation::new(output.len());
-        }
-        let cols: Vec<usize> = output
-            .iter()
-            // archlint::allow(panic-free-request-path, reason = "guarded by the contains() early-return above")
-            .map(|v| vars.iter().position(|w| w == v).expect("checked above"))
-            .collect();
-        ops::project(rel, &cols)
+            return Ok((Relation::new(output.len()), truncated));
+        };
+        let meter = ctx.meter(PHASE, Some(root), !truncated);
+        let out = ops::project_metered(rel, &cols, &meter).map_err(trip)?;
+        Ok((out, truncated))
     }
 
-    /// Count the satisfying substitutions by the bottom-up product-sum DP
-    /// (the counting extension of Yannakakis' algorithm; see
-    /// [`crate::counting`]). Read-only: probes the nodes' cached indexes,
-    /// clones nothing, and leaves `rels` untouched.
+    /// The counting DP (see [`Pipeline::count`]) under `ctx`, timed under
+    /// the tracer's `count` span. Read-only: probes the nodes' cached
+    /// indexes, clones nothing, and leaves `rels` untouched. The context
+    /// is checked before every DP edge and the per-edge scratch charged
+    /// against the byte quota; a memory trip is a hard error — a
+    /// truncated count would be silently wrong, unlike a truncated
+    /// enumeration.
     ///
     /// **Saturating contract:** every accumulation step — the per-group
     /// child sums, the per-tuple factor products, and the final root sum —
     /// saturates at `u128::MAX` instead of panicking (debug) or wrapping
     /// (release). A result of `u128::MAX` therefore means "at least
-    /// `u128::MAX`". Saturating addition is associative and commutative,
-    /// so the sharded counting path reproduces the same value bit for bit.
-    pub fn count(&self, rels: &[Relation]) -> u128 {
+    /// `u128::MAX`".
+    pub fn count_in<C: ExecCtx>(&self, rels: &[Relation], ctx: &C) -> Result<u128, QueryError> {
+        const PHASE: &str = "count";
         assert_eq!(rels.len(), self.tree.len(), "one relation per node");
+        let obs = ctx.tracer();
+        let _span = obs.span(obs::Phase::Count);
+        let tap = obs.io();
+        // The DP never filters: rows in == rows out at every node.
+        note_nodes_in(obs, rels);
+        note_nodes_out(obs, rels);
+        ctx.check(PHASE)?;
+        let cell = std::mem::size_of::<u128>() as u64;
+        ctx.charge_bytes(rels.iter().map(|r| r.len() as u64 * cell).sum())?;
         let mut counts: Vec<Vec<u128>> = rels.iter().map(|r| vec![1u128; r.len()]).collect();
 
-        // archlint::allow(budget-polled-loops, reason = "ungoverned counting DP kept for budget-less callers; count_governed polls per sweep")
         for &n in &self.post {
             let Some(p) = self.tree.parent(n) else {
                 continue;
             };
+            ctx.check(PHASE)?;
             let child = &rels[n.index()];
             let parent = &rels[p.index()];
+            // Each edge scans its child and its parent once.
+            tap.add_rows((child.len() + parent.len()) as u64);
+            obs.node_tap(n.index()).add_rows(child.len() as u64);
+            obs.node_tap(p.index()).add_rows(parent.len() as u64);
             // Per-group sums of the child's tuple counts, laid out by the
             // cached index's group ids.
             let index = child.index_on(&self.child_cols[n.index()]);
+            ctx.charge_bytes(index.num_keys() as u64 * cell)?;
             let child_counts = &counts[n.index()];
             let sums: Vec<u128> = index
                 .groups()
@@ -291,7 +386,9 @@ impl Pipeline {
             }
         }
 
-        saturating_sum(counts[self.tree.root().index()].iter().copied())
+        Ok(saturating_sum(
+            counts[self.tree.root().index()].iter().copied(),
+        ))
     }
 }
 
@@ -300,16 +397,13 @@ impl Pipeline {
 /// reaches `u128::MAX` it stays there — the old unchecked `Sum` panicked
 /// in debug builds and wrapped (returning garbage counts) in release.
 #[inline]
-pub(crate) fn saturating_sum(counts: impl Iterator<Item = u128>) -> u128 {
+fn saturating_sum(counts: impl Iterator<Item = u128>) -> u128 {
     counts.fold(0u128, |acc, c| acc.saturating_add(c))
 }
 
 /// Split mutable access to a (parent, child) pair of node relations.
-pub(crate) fn pair_mut(
-    rels: &mut [Relation],
-    a: usize,
-    b: usize,
-) -> (&mut Relation, &mut Relation) {
+#[inline]
+fn pair_mut(rels: &mut [Relation], a: usize, b: usize) -> (&mut Relation, &mut Relation) {
     assert_ne!(a, b, "tree edges never self-loop");
     if a < b {
         let (left, right) = rels.split_at_mut(b);

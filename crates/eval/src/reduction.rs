@@ -11,6 +11,7 @@
 //! condition is exactly Condition 2 of Definition 4.1).
 
 use crate::binding::{bind_all, BoundAtom, EvalError};
+use crate::governed::{trip_to_error, ExecCtx, Unlimited};
 use cq::ConjunctiveQuery;
 use hypergraph::{Ix, RootedTree, VertexId};
 use hypertree_core::HypertreeDecomposition;
@@ -45,114 +46,36 @@ impl ReducedInstance {
 
 /// Run the Lemma 4.6 construction for `q`, `db`, and a (not necessarily
 /// complete) hypertree decomposition `hd` of `q`'s hypergraph.
+/// [`reduce_in`] under [`Unlimited`].
 pub fn reduce(
     q: &ConjunctiveQuery,
     db: &Database,
     hd: &HypertreeDecomposition,
 ) -> Result<ReducedInstance, EvalError> {
-    reduce_with(q, db, hd, &|l, r, on, keep| ops::join(l, r, on, keep))
+    reduce_in(q, db, hd, &Unlimited)
 }
 
-/// [`reduce`] with the node-building joins hash-sharded across `cfg`
-/// shards once they are large enough (see [`crate::sharded`]) — on wide
-/// decompositions the `r^k` node joins dominate evaluation, so the
-/// reduction itself is part of the sharded pipeline. Byte-identical
-/// output instance.
-pub fn reduce_sharded(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    hd: &HypertreeDecomposition,
-    cfg: &crate::ShardConfig,
-) -> Result<ReducedInstance, EvalError> {
-    let shards = cfg.effective_shards();
-    if shards <= 1 {
-        return reduce(q, db, hd);
-    }
-    let min_rows = cfg.min_rows;
-    reduce_with(q, db, hd, &move |l, r, on, keep| {
-        if l.len().max(r.len()) >= min_rows {
-            relation::shard::join_sharded(l, r, on, keep, shards)
-        } else {
-            ops::join(l, r, on, keep)
-        }
-    })
-}
-
-/// [`reduce_sharded`] under a [`hypertree_core::QueryBudget`]: every
-/// accumulator join is
-/// metered (deadline polls at chunk granularity, intermediate bytes
-/// charged at the exact-size reserve points), sharded when large enough
-/// under `cfg`.
+/// The construction under `ctx`, timed under the tracer's `reduce` span:
+/// every accumulator join is metered (deadline polls at chunk
+/// granularity, intermediate bytes charged at the exact-size reserve
+/// points, row scans tapped).
 ///
 /// A trip unwinds the whole construction with the typed error — there is
 /// *no* truncating mode here. The node relations are inputs to later
 /// semijoin and join phases, and a silently shrunken node relation would
 /// drop answers without any marker; graceful degradation belongs to the
 /// output-producing join phase only (see
-/// [`crate::Pipeline::enumerate_governed`]). After the first trip the
-/// remaining node joins run on empty stand-ins, so unwinding costs O(tree)
-/// rather than finishing the expensive construction.
-pub fn reduce_governed(
+/// [`crate::Pipeline::enumerate_in`]).
+pub fn reduce_in<C: ExecCtx>(
     q: &ConjunctiveQuery,
     db: &Database,
     hd: &HypertreeDecomposition,
-    cfg: &crate::ShardConfig,
-    budget: &hypertree_core::QueryBudget,
-) -> Result<ReducedInstance, EvalError> {
-    reduce_observed(q, db, hd, cfg, budget, &obs::Tracer::off())
-}
-
-/// [`reduce_governed`] with the construction timed under the tracer's
-/// `reduce` span and its metered row scans tapped.
-pub fn reduce_observed(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    hd: &HypertreeDecomposition,
-    cfg: &crate::ShardConfig,
-    budget: &hypertree_core::QueryBudget,
-    obs: &obs::Tracer,
+    ctx: &C,
 ) -> Result<ReducedInstance, EvalError> {
     const PHASE: &str = "reduce";
-    let _span = obs.span(obs::Phase::Reduce);
-    budget.check(PHASE)?;
-    let shards = cfg.effective_shards();
-    let min_rows = cfg.min_rows;
-    let meter = crate::governed::BudgetMeter::new(budget, PHASE).with_tap(obs.io());
-    // `reduce_with`'s join operator is infallible, so the first trip is
-    // parked here and every later join degenerates to an empty relation
-    // of the right arity (cheap, and discarded on unwind).
-    let tripped: std::cell::RefCell<Option<relation::meter::Trip>> = std::cell::RefCell::new(None);
-    let reduced = reduce_with(q, db, hd, &|l, r, on, keep| {
-        if tripped.borrow().is_some() {
-            return Relation::new(l.arity() + keep.len());
-        }
-        let result = if shards > 1 && l.len().max(r.len()) >= min_rows {
-            relation::shard::join_sharded_governed(l, r, on, keep, shards, &meter)
-        } else {
-            ops::join_governed(l, r, on, keep, &meter, false).map(|(out, _)| out)
-        };
-        match result {
-            Ok(out) => out,
-            Err(t) => {
-                *tripped.borrow_mut() = Some(t);
-                Relation::new(l.arity() + keep.len())
-            }
-        }
-    })?;
-    if let Some(t) = tripped.into_inner() {
-        return Err(crate::governed::trip_to_error(t, PHASE).into());
-    }
-    Ok(reduced)
-}
-
-/// The construction body, with the accumulator join operator abstracted
-/// out (sequential vs. hash-sharded).
-fn reduce_with(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    hd: &HypertreeDecomposition,
-    join: &crate::pipeline::JoinFn,
-) -> Result<ReducedInstance, EvalError> {
+    let _span = ctx.tracer().span(obs::Phase::Reduce);
+    ctx.check(PHASE)?;
+    let meter = ctx.meter(PHASE, None, true);
     let h = q.hypergraph();
     // The construction only leans on conditions 1–3 (coverage gives every
     // atom a home node, connectedness makes the tree a join tree of the
@@ -170,7 +93,6 @@ fn reduce_with(
 
     let tree = complete.tree().clone();
     let mut nodes = Vec::with_capacity(tree.len());
-    // archlint::allow(budget-polled-loops, reason = "ungoverned Lemma 4.6 reduction for budget-less callers; reduce_governed meters every kernel call")
     for p in tree.nodes() {
         let chi: Vec<VertexId> = complete.chi(p).to_vec();
         // Start from the all-rows relation over zero columns and join in
@@ -181,7 +103,6 @@ fn reduce_with(
             r.push_row(&[]);
             r
         };
-        // archlint::allow(budget-polled-loops, reason = "ungoverned Lemma 4.6 reduction for budget-less callers; reduce_governed meters every kernel call")
         for e in complete.lambda(p) {
             let atom = &bound[e.index()];
             // Columns of the atom that fall inside χ(p).
@@ -202,7 +123,9 @@ fn reduce_with(
             let fresh: Vec<usize> = (0..restricted_vars.len())
                 .filter(|&j| !acc_vars.contains(&restricted_vars[j]))
                 .collect();
-            acc = join(&acc, &restricted, &pairs, &fresh);
+            acc = ops::join_metered(&acc, &restricted, &pairs, &fresh, &meter, false)
+                .map_err(|t| trip_to_error(t, PHASE))?
+                .0;
             for j in fresh {
                 acc_vars.push(restricted_vars[j]);
             }
@@ -259,31 +182,6 @@ pub fn enumerate_via_hd(
 ) -> Result<Relation, EvalError> {
     let (pipeline, mut rels) = reduce(q, db, hd)?.into_pipeline();
     Ok(pipeline.enumerate(&mut rels, &q.head_vars()))
-}
-
-/// [`boolean_via_hd`] with the reduction and sweeps hash-sharded across
-/// `cfg` shards (see [`crate::sharded`]). Byte-identical answer.
-pub fn boolean_via_hd_sharded(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    hd: &HypertreeDecomposition,
-    cfg: &crate::ShardConfig,
-) -> Result<bool, EvalError> {
-    let (pipeline, mut rels) = reduce_sharded(q, db, hd, cfg)?.into_pipeline();
-    Ok(pipeline.boolean_sharded(&mut rels, cfg))
-}
-
-/// [`enumerate_via_hd`] with the reduction, sweeps, and join phase
-/// hash-sharded across `cfg` shards (see [`crate::sharded`]).
-/// Byte-identical answer, row order included.
-pub fn enumerate_via_hd_sharded(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    hd: &HypertreeDecomposition,
-    cfg: &crate::ShardConfig,
-) -> Result<Relation, EvalError> {
-    let (pipeline, mut rels) = reduce_sharded(q, db, hd, cfg)?.into_pipeline();
-    Ok(pipeline.enumerate_sharded(&mut rels, &q.head_vars(), cfg))
 }
 
 #[cfg(test)]

@@ -4,8 +4,7 @@
 //! [`PlanExplain`] is plain data assembled by the serving layer from a
 //! prepared query: decomposition shape, width, and provenance; the
 //! join-tree topology with per-node variable bags and λ edge covers;
-//! cache hit/miss lineage; and the shard configuration the plan would
-//! run with. It renders as a stable JSON document (schema
+//! and cache hit/miss lineage. It renders as a stable JSON document (schema
 //! [`EXPLAIN_SCHEMA`]) or as a tree-style text form, and — given a
 //! real execution's [`QueryTrace`] — as an EXPLAIN ANALYZE tree
 //! annotated with per-node row counts and per-phase wall time.
@@ -18,7 +17,7 @@ use crate::trace::{fmt_ns, QueryTrace};
 
 /// Schema tag stamped into the EXPLAIN JSON form; bump on breaking
 /// change.
-pub const EXPLAIN_SCHEMA: &str = "obs-explain/1";
+pub const EXPLAIN_SCHEMA: &str = "obs-explain/2";
 
 /// One node of the plan tree: a variable bag (χ for hypertrees, the
 /// atom's variables for join trees) and the edge cover that supplies
@@ -60,10 +59,6 @@ pub struct PlanExplain {
     /// Whether the decomposition cache hit when the plan was prepared
     /// (`None` for join trees).
     pub decomp_cache_hit: Option<bool>,
-    /// Configured intra-query shard count the plan would run with.
-    pub shards: u64,
-    /// Minimum relation size before sharding engages.
-    pub shard_min_rows: u64,
     /// The plan tree in pre-order (parents precede children).
     pub nodes: Vec<ExplainNode>,
 }
@@ -104,11 +99,6 @@ impl PlanExplain {
             "  cache: plan={} decomp={}",
             cache(self.plan_cache_hit),
             cache(self.decomp_cache_hit)
-        );
-        let _ = writeln!(
-            out,
-            "  shards: {} (min rows {})",
-            self.shards, self.shard_min_rows
         );
         out.push_str("  tree:\n");
         for n in &self.nodes {
@@ -188,8 +178,6 @@ impl PlanExplain {
             "  \"decomp_cache_hit\": {},",
             opt_bool(self.decomp_cache_hit)
         );
-        let _ = writeln!(out, "  \"shards\": {},", self.shards);
-        let _ = writeln!(out, "  \"shard_min_rows\": {},", self.shard_min_rows);
         out.push_str("  \"nodes\": [\n");
         for (i, n) in self.nodes.iter().enumerate() {
             let _ = write!(out, "    {{\"id\": {}, \"parent\": ", n.id);
@@ -277,8 +265,6 @@ mod tests {
             provenance: "heuristic",
             plan_cache_hit: Some(false),
             decomp_cache_hit: Some(false),
-            shards: 1,
-            shard_min_rows: 0,
             nodes: vec![
                 ExplainNode {
                     id: 0,
@@ -350,7 +336,7 @@ mod tests {
     fn json_forms_are_balanced_and_tagged() {
         let ex = sample();
         for json in [ex.to_json(), ex.to_json_analyzed(&sample_trace())] {
-            assert!(json.contains("\"schema\": \"obs-explain/1\""));
+            assert!(json.contains("\"schema\": \"obs-explain/2\""));
             for (open, close) in [('{', '}'), ('[', ']')] {
                 assert_eq!(
                     json.matches(open).count(),

@@ -80,8 +80,8 @@ struct Inner {
 /// The per-request trace collector.
 ///
 /// Threaded by reference through the serving stack; all recording
-/// methods take `&self` (interior atomics) so a tracer can be shared
-/// with sharded worker closures.
+/// methods take `&self` (interior atomics), so every layer records
+/// through the same shared reference.
 #[derive(Default)]
 pub struct Tracer {
     inner: Option<Box<Inner>>,
@@ -235,7 +235,7 @@ impl Tracer {
 
     /// Close the trace and assemble the [`QueryTrace`]. Returns `None`
     /// for disabled tracers. The execution-outcome fields
-    /// (`rows_emitted`, byte/step totals, shard count, truncation) are
+    /// (`rows_emitted`, byte/step totals, truncation) are
     /// supplied by the caller, which owns the budget and the result.
     pub fn finish(&self, outcome: TraceOutcome) -> Option<QueryTrace> {
         let i = self.inner.as_deref()?;
@@ -280,7 +280,6 @@ impl Tracer {
             decomp_cache_hit: tri(&i.decomp_cache),
             plan_kind,
             plan_width: i.plan_width.load(Ordering::Relaxed),
-            shards: outcome.shards,
             truncated: outcome.truncated,
         })
     }
@@ -337,8 +336,6 @@ pub struct TraceOutcome {
     pub bytes_charged: u64,
     /// Budget steps consumed.
     pub steps_charged: u64,
-    /// Effective shard count the request ran with.
-    pub shards: u64,
     /// True if the answer is a truncated (sound-prefix) result.
     pub truncated: bool,
 }
@@ -391,8 +388,6 @@ pub struct QueryTrace {
     pub plan_kind: Option<&'static str>,
     /// Plan width (1 for join trees, the hypertree width otherwise).
     pub plan_width: u64,
-    /// Effective shard count.
-    pub shards: u64,
     /// True if the answer is a truncated sound prefix.
     pub truncated: bool,
 }
@@ -448,12 +443,11 @@ impl std::fmt::Display for QueryTrace {
         };
         write!(
             f,
-            "  plan: kind={} width={} plan_cache={} decomp_cache={} shards={}{}",
+            "  plan: kind={} width={} plan_cache={} decomp_cache={}{}",
             self.plan_kind.unwrap_or("-"),
             self.plan_width,
             cache(self.plan_cache_hit),
             cache(self.decomp_cache_hit),
-            self.shards,
             if self.truncated { " TRUNCATED" } else { "" }
         )
     }
@@ -513,7 +507,6 @@ mod tests {
                 rows_emitted: 5,
                 bytes_charged: 64,
                 steps_charged: 9,
-                shards: 4,
                 truncated: false,
             })
             .unwrap();
@@ -526,7 +519,6 @@ mod tests {
         assert_eq!(tr.decomp_cache_hit, Some(true));
         assert_eq!(tr.plan_kind, Some("hypertree"));
         assert_eq!(tr.plan_width, 2);
-        assert_eq!(tr.shards, 4);
     }
 
     #[test]

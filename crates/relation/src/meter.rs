@@ -5,12 +5,20 @@
 //! cannot see it directly — the same layering that gives
 //! [`crate::shard`] its own `parallel_map`. Instead the kernels meter
 //! through this minimal trait: the `eval` crate (which sees both) adapts
-//! a `QueryBudget` into a [`CostMeter`], and ungoverned callers keep
-//! using the unmetered operators, which this module does not touch.
+//! a `QueryBudget` into a [`CostMeter`].
 //!
-//! Contract for metered kernels (`ops::join_governed`,
-//! [`crate::Relation::retain_semijoin_cols_governed`],
-//! [`crate::Relation::dedup_governed`], `shard::*_governed`):
+//! Every kernel has **one** body, generic over its meter
+//! (`ops::join_metered`, `ops::project_metered`,
+//! [`crate::Relation::retain_semijoin_cols_metered`],
+//! [`crate::Relation::dedup_metered`]). Budget-less callers use the plain
+//! names (`ops::join`, [`crate::Relation::dedup`], …), which run that body
+//! under the zero-sized [`NoMeter`]: its polls are erased at compile
+//! time, and the branches that exist only so a trip can abort cleanly
+//! (two-pass probing, instalment charging) are guarded by
+//! [`CostMeter::LIVE`], so they are not even compiled into that
+//! instantiation.
+//!
+//! Contract for the kernels under a live meter:
 //!
 //! * **Chunk granularity** — [`CostMeter::tick`] is polled once per
 //!   [`METER_CHUNK`] rows (and at least once per kernel call), so the
@@ -48,10 +56,15 @@ pub enum Trip {
     Cancelled,
 }
 
-/// The metering hook the governed kernels poll. Implementations must be
-/// cheap — both methods sit on (chunked) hot paths — and `Sync`, because
-/// the sharded kernels poll one meter from several scoped workers.
-pub trait CostMeter: Sync {
+/// The metering hook the kernels poll. Implementations must be cheap —
+/// both methods sit on (chunked) hot paths.
+pub trait CostMeter {
+    /// `false` only for a meter that can neither trip nor observe
+    /// ([`NoMeter`]): kernels then take their single-pass,
+    /// single-allocation forms, which are not abort-safe mid-way and do
+    /// not need to be.
+    const LIVE: bool = true;
+
     /// Poll for deadline/cancellation after processing `units` more rows
     /// (advisory; called at chunk granularity).
     fn tick(&self, units: u64) -> Result<(), Trip>;
@@ -61,12 +74,14 @@ pub trait CostMeter: Sync {
     fn charge_bytes(&self, bytes: u64) -> Result<(), Trip>;
 }
 
-/// The no-op meter: never trips, never counts. Governed entry points
-/// called without a real budget pass this; the optimiser erases it.
+/// The no-op meter: never trips, never counts. What the plain operator
+/// names run their kernel under.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoMeter;
 
 impl CostMeter for NoMeter {
+    const LIVE: bool = false;
+
     #[inline]
     fn tick(&self, _units: u64) -> Result<(), Trip> {
         Ok(())
@@ -75,6 +90,18 @@ impl CostMeter for NoMeter {
     #[inline]
     fn charge_bytes(&self, _bytes: u64) -> Result<(), Trip> {
         Ok(())
+    }
+}
+
+/// The value of a run that was handed no live meter or budget, and so
+/// cannot have tripped: how the context-free operator forms (`ops::join`,
+/// `eval::Pipeline::boolean`, …) return plain values from the one
+/// fallible body.
+pub fn untripped<T, E: std::fmt::Debug>(run: Result<T, E>) -> T {
+    match run {
+        Ok(value) => value,
+        // archlint::allow(panic-free-request-path, reason = "only called on runs under NoMeter / the unlimited context, whose polls are constant Ok; a trip here is a bug in this program, not in the request")
+        Err(trip) => unreachable!("tripped without a live meter: {trip:?}"),
     }
 }
 

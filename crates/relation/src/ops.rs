@@ -13,21 +13,13 @@
 //! ([`Relation::retain_semijoin`], [`Relation::retain_select`]), which the
 //! evaluation pipeline prefers.
 
-use crate::meter::{CostMeter, Trip, METER_CHUNK};
+use crate::meter::{untripped, CostMeter, NoMeter, Trip, METER_CHUNK};
 use crate::relation::{Relation, Value};
 
 /// `π_cols(r)` with set semantics (duplicates removed). Columns may repeat
-/// and reorder.
-///
-/// Fast paths when the input is known to be a set: an identity column
-/// list is answered by a clone (sharing the cached indexes), and a column
-/// list that merely *permutes* the columns copies rows without any
-/// deduplication — a permutation of a set is still a set. The Lemma 4.6
-/// reduction's final per-node projections are exactly such permutations.
+/// and reorder. [`project_metered`] without a meter.
 pub fn project(r: &Relation, cols: &[usize]) -> Relation {
-    let mut out = project_no_dedup(r, cols);
-    out.dedup();
-    out
+    untripped(project_metered(r, cols, &NoMeter))
 }
 
 /// `true` iff `cols` names each of `0..cols.len()` exactly once.
@@ -68,51 +60,15 @@ pub fn select_eq(r: &Relation, a: usize, b: usize) -> Relation {
 /// Hash join of `left` and `right` on the column pairs `on`
 /// (`left[l] = right[r]` for each `(l, r)` in `on`). The output schema is
 /// all columns of `left` followed by `right_keep` columns of `right`.
-/// With `on` empty this is a cartesian product.
+/// With `on` empty this is a cartesian product. [`join_metered`] without a
+/// meter.
 pub fn join(
     left: &Relation,
     right: &Relation,
     on: &[(usize, usize)],
     right_keep: &[usize],
 ) -> Relation {
-    let mut out = Relation::new(left.arity() + right_keep.len());
-    if out.arity() == 0 {
-        // Both sides nullary: the output is `{()}` iff both are non-empty.
-        if !left.is_empty() && !right.is_empty() {
-            out.push_row(&[]);
-        }
-        return out;
-    }
-    let (sorted, distinct) = join_output_flags(left, right, on, right_keep);
-    if on.is_empty() {
-        // Cartesian product: one conceptual group holding every right
-        // row — no index, no hashing, exact-size output.
-        out.reserve_rows(left.len() * right.len());
-        for lrow in left.rows() {
-            for rrow in right.rows() {
-                out.extend_joined(lrow, rrow, right_keep);
-            }
-        }
-        out.set_flags(sorted, distinct);
-        return out;
-    }
-    let left_cols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-    let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-    let index = right.index_on(&right_cols);
-    // Exact-size the output in one cheap probe pass: large results then
-    // live in a single allocation instead of a doubling realloc chain.
-    let mut out_rows = 0usize;
-    for lrow in left.rows() {
-        out_rows += index.probe_rows(lrow, &left_cols).len();
-    }
-    out.reserve_rows(out_rows);
-    for lrow in left.rows() {
-        for &ri in index.probe_rows(lrow, &left_cols) {
-            out.extend_joined(lrow, right.row(ri as usize), right_keep);
-        }
-    }
-    out.set_flags(sorted, distinct);
-    out
+    untripped(join_metered(left, right, on, right_keep, &NoMeter, false)).0
 }
 
 /// Structural flags `(sorted, distinct)` for the output of a join. The
@@ -121,8 +77,8 @@ pub fn join(
 /// right rows then can only produce equal output rows by being equal
 /// themselves); it is additionally sorted for cartesian products of
 /// sorted sets that keep the right columns verbatim. Shared by
-/// [`join`], [`join_governed`] and the sharded kernel so the rule cannot
-/// drift between them.
+/// [`join_metered`] and the sharded kernel so the rule cannot drift
+/// between them.
 pub(crate) fn join_output_flags(
     left: &Relation,
     right: &Relation,
@@ -144,29 +100,35 @@ pub(crate) fn join_output_flags(
     (sorted, distinct)
 }
 
-/// [`join`] under a [`CostMeter`]: the probe and build loops poll
-/// `meter.tick` once per [`METER_CHUNK`] rows, and the output allocation
-/// is charged through `meter.charge_bytes` before it is made.
+/// The join kernel, under a [`CostMeter`]. The output is sized exactly by
+/// one cheap probe pass (no index, no pass at all for a cartesian
+/// product), so a large result lives in a single allocation instead of a
+/// doubling realloc chain; under a live meter the output is charged
+/// through `meter.charge_bytes` before it is allocated, and both passes
+/// poll `meter.tick` once per [`METER_CHUNK`] rows (the build pass
+/// between left rows, so a trip is observed within one chunk of output
+/// or one left row's matches, whichever is more).
 ///
 /// Returns `(output, truncated)`. With `truncate_on_memory == false` a
-/// memory trip aborts the join (`Err(Trip::Memory)`). With it `true`, the
-/// build charges its output in [`METER_CHUNK`]-row instalments and a
-/// memory trip stops the build instead: the rows already built are
+/// memory trip aborts the join (`Err(Trip::Memory)`). With it `true`, a
+/// live meter is charged the output in [`METER_CHUNK`]-row instalments
+/// and a memory trip stops the build instead: the rows already built are
 /// returned with `truncated == true`. A truncated output is a *prefix* of
 /// the full output, hence a sound subset — the degraded-enumeration mode
 /// of the governance ladder. Deadline and cancellation trips always
 /// abort; there is no useful partial answer to a caller that has run out
 /// of time.
-pub fn join_governed(
+pub fn join_metered<M: CostMeter>(
     left: &Relation,
     right: &Relation,
     on: &[(usize, usize)],
     right_keep: &[usize],
-    meter: &dyn CostMeter,
+    meter: &M,
     truncate_on_memory: bool,
 ) -> Result<(Relation, bool), Trip> {
     let mut out = Relation::new(left.arity() + right_keep.len());
     if out.arity() == 0 {
+        // Both sides nullary: the output is `{()}` iff both are non-empty.
         meter.tick(1)?;
         if !left.is_empty() && !right.is_empty() {
             out.push_row(&[]);
@@ -175,121 +137,138 @@ pub fn join_governed(
     }
     let (sorted, distinct) = join_output_flags(left, right, on, right_keep);
     let row_bytes = (out.arity() * std::mem::size_of::<Value>()) as u64;
-
-    // Probe pass: exact output size, polling per chunk of left rows.
     let left_cols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
     let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-    let index = if on.is_empty() {
-        None
-    } else {
-        Some(right.index_on(&right_cols))
-    };
-    let mut out_rows = 0usize;
-    for (i, lrow) in left.rows().enumerate() {
-        if i.is_multiple_of(METER_CHUNK) {
-            meter.tick(METER_CHUNK.min(left.len() - i) as u64)?;
-        }
-        out_rows += match &index {
-            Some(index) => index.probe_rows(lrow, &left_cols).len(),
-            None => right.len(),
-        };
-    }
+    // A cartesian product is one conceptual group holding every right
+    // row: no index, no hashing.
+    let index = (!on.is_empty()).then(|| right.index_on(&right_cols));
 
-    // Build pass. `matches` yields the right-row indices joining each left
-    // row; a cartesian product joins every right row.
-    let matches = |lrow: &[Value]| -> MatchIter<'_> {
-        match &index {
-            Some(index) => MatchIter::Probed(index.probe_rows(lrow, &left_cols).iter()),
-            None => MatchIter::All(0..right.len() as u32),
+    let out_rows = match &index {
+        None => {
+            meter.tick(left.len() as u64)?;
+            left.len() * right.len()
+        }
+        Some(index) => {
+            let mut rows = 0usize;
+            for (i, lrow) in left.rows().enumerate() {
+                if M::LIVE && i.is_multiple_of(METER_CHUNK) {
+                    meter.tick(METER_CHUNK.min(left.len() - i) as u64)?;
+                }
+                rows += index.probe_rows(lrow, &left_cols).len();
+            }
+            rows
         }
     };
-    let mut truncated = false;
-    let mut built = 0usize;
-    // Rows granted by the meter so far; in non-truncating mode the whole
-    // output is charged (and reserved) up front, keeping the exact-size
-    // single allocation of the unmetered kernel.
-    let mut granted = 0usize;
-    if !truncate_on_memory {
+
+    if !(M::LIVE && truncate_on_memory) {
+        // One exact-size allocation, charged before it is made; a live
+        // meter is polled between left rows, once per chunk built.
         meter.charge_bytes(out_rows as u64 * row_bytes)?;
         out.reserve_rows(out_rows);
-        granted = out_rows;
-    }
-    'build: for lrow in left.rows() {
-        for ri in matches(lrow) {
-            if built == granted {
-                debug_assert!(truncate_on_memory, "up-front grant covers every row");
-                let step = METER_CHUNK.min(out_rows - built);
-                match meter.charge_bytes(step as u64 * row_bytes) {
-                    Ok(()) => {
-                        out.reserve_rows(step);
-                        granted += step;
+        let mut unpolled = 0usize;
+        let mut poll = |built: usize| -> Result<(), Trip> {
+            unpolled += built;
+            if M::LIVE && unpolled >= METER_CHUNK {
+                meter.tick(std::mem::take(&mut unpolled) as u64)?;
+            }
+            Ok(())
+        };
+        match &index {
+            None => {
+                for lrow in left.rows() {
+                    for rrow in right.rows() {
+                        out.extend_joined(lrow, rrow, right_keep);
                     }
+                    poll(right.len())?;
+                }
+            }
+            Some(index) => {
+                for lrow in left.rows() {
+                    let matches = index.probe_rows(lrow, &left_cols);
+                    for &ri in matches {
+                        out.extend_joined(lrow, right.row(ri as usize), right_keep);
+                    }
+                    poll(matches.len())?;
+                }
+            }
+        }
+        meter.tick(unpolled as u64)?;
+        out.set_flags(sorted, distinct);
+        return Ok((out, false));
+    }
+
+    // Truncating build under a live meter: the output is charged, polled
+    // for and reserved in instalments of one chunk, so a memory trip
+    // leaves a prefix behind instead of nothing.
+    let mut truncated = false;
+    let (mut built, mut granted) = (0usize, 0usize);
+    'build: for lrow in left.rows() {
+        let matches = index.as_ref().map(|ix| ix.probe_rows(lrow, &left_cols));
+        let n = matches.map_or(right.len(), <[u32]>::len);
+        let mut done = 0usize;
+        while done < n {
+            if built == granted {
+                let next = METER_CHUNK.min(out_rows - built);
+                meter.tick(next as u64)?;
+                match meter.charge_bytes(next as u64 * row_bytes) {
+                    Ok(()) => out.reserve_rows(next),
                     Err(Trip::Memory { .. }) => {
                         truncated = true;
                         break 'build;
                     }
                     Err(trip) => return Err(trip),
                 }
+                granted += next;
             }
-            if built.is_multiple_of(METER_CHUNK) {
-                meter.tick(METER_CHUNK.min(out_rows - built) as u64)?;
+            let take = (n - done).min(granted - built);
+            match matches {
+                Some(ids) => {
+                    for &ri in &ids[done..done + take] {
+                        out.extend_joined(lrow, right.row(ri as usize), right_keep);
+                    }
+                }
+                None => {
+                    for ri in done..done + take {
+                        out.extend_joined(lrow, right.row(ri), right_keep);
+                    }
+                }
             }
-            out.extend_joined(lrow, right.row(ri as usize), right_keep);
-            built += 1;
+            done += take;
+            built += take;
         }
     }
     out.set_flags(sorted, distinct);
     Ok((out, truncated))
 }
 
-enum MatchIter<'a> {
-    Probed(std::slice::Iter<'a, u32>),
-    All(std::ops::Range<u32>),
-}
-
-impl Iterator for MatchIter<'_> {
-    type Item = u32;
-
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        match self {
-            MatchIter::Probed(it) => it.next().copied(),
-            MatchIter::All(r) => r.next(),
-        }
-    }
-}
-
-/// [`project`] under a [`CostMeter`]: charges the projected copy and
-/// polls per chunk; the trailing deduplication goes through
-/// [`Relation::dedup_governed`]. Projections never truncate — they only
-/// ever shrink their input, so the join kernels are where degradation
-/// pays off.
-pub fn project_governed(
+/// The projection kernel, under a [`CostMeter`]: charges the projected
+/// copy, polls once, and deduplicates through
+/// [`Relation::dedup_metered`]. Projections never truncate — they only
+/// ever shrink their input, so the join kernel is where degradation pays
+/// off.
+///
+/// Fast paths when the input is known to be a set: an identity column
+/// list is answered by a clone (sharing the cached indexes), and a column
+/// list that merely *permutes* the columns copies rows without any
+/// deduplication — a permutation of a set is still a set. The Lemma 4.6
+/// reduction's final per-node projections are exactly such permutations.
+pub fn project_metered<M: CostMeter>(
     r: &Relation,
     cols: &[usize],
-    meter: &dyn CostMeter,
+    meter: &M,
 ) -> Result<Relation, Trip> {
     meter.tick(r.len() as u64)?;
     meter.charge_bytes((r.len() * cols.len() * std::mem::size_of::<Value>()) as u64)?;
-    let mut out = project_no_dedup(r, cols);
-    out.dedup_governed(meter)?;
-    Ok(out)
-}
-
-/// The shared body of [`project`] / [`project_governed`]: the projected
-/// copy with fast paths, *before* the general path's deduplication. The
-/// returned relation's flags already reflect whether dedup is needed.
-fn project_no_dedup(r: &Relation, cols: &[usize]) -> Relation {
     if r.is_set() && cols.len() == r.arity() && is_permutation(cols) {
         if cols.iter().enumerate().all(|(i, &c)| i == c) {
-            return r.clone();
+            return Ok(r.clone());
         }
         let mut out = Relation::with_capacity(cols.len(), r.len());
         for row in r.rows() {
             out.extend_projected(row, cols);
         }
         out.set_flags(false, true);
-        return out;
+        return Ok(out);
     }
     let mut out = Relation::with_capacity(cols.len(), r.len());
     let mut buf: Vec<Value> = Vec::with_capacity(cols.len());
@@ -298,7 +277,8 @@ fn project_no_dedup(r: &Relation, cols: &[usize]) -> Relation {
         buf.extend(cols.iter().map(|&c| row[c]));
         out.push_row(&buf);
     }
-    out
+    out.dedup_metered(meter)?;
+    Ok(out)
 }
 
 /// Semijoin `left ⋉ right` on the column pairs `on`: the rows of `left`
@@ -424,30 +404,12 @@ mod tests {
     }
 
     #[test]
-    fn governed_join_with_no_meter_matches_the_unmetered_kernel() {
-        let a = r(&[[1, 10], [2, 20], [3, 30]]);
-        let b = r(&[[10, 100], [10, 101], [30, 300]]);
-        let (j, truncated) =
-            join_governed(&a, &b, &[(1, 0)], &[1], &crate::meter::NoMeter, false).unwrap();
-        assert!(!truncated);
-        let seq = join(&a, &b, &[(1, 0)], &[1]);
-        assert_eq!(j, seq);
-        assert_eq!(j.is_set(), seq.is_set());
-        // Cartesian path too.
-        let (c, truncated) =
-            join_governed(&a, &b, &[], &[0], &crate::meter::NoMeter, true).unwrap();
-        assert!(!truncated);
-        assert_eq!(c, join(&a, &b, &[], &[0]));
-        assert_eq!(c.is_sorted_set(), join(&a, &b, &[], &[0]).is_sorted_set());
-    }
-
-    #[test]
     fn governed_join_deadline_trip_aborts_without_output() {
         use crate::meter::{testing::TripAfter, Trip};
         let rows: Vec<[u64; 2]> = (0..100).map(|i| [i, i]).collect();
         let a = Relation::from_rows(2, &rows);
         let meter = TripAfter::new(0, Trip::Deadline);
-        let err = join_governed(&a, &a, &[(0, 0)], &[1], &meter, true).unwrap_err();
+        let err = join_metered(&a, &a, &[(0, 0)], &[1], &meter, true).unwrap_err();
         assert_eq!(err, Trip::Deadline);
     }
 
@@ -460,7 +422,7 @@ mod tests {
         // which still grants the first METER_CHUNK-row instalment, so the
         // partial result is non-trivial.
         let quota = ByteQuota::new(70_000);
-        let (out, truncated) = join_governed(&a, &a, &[], &[0], &quota, true).unwrap();
+        let (out, truncated) = join_metered(&a, &a, &[], &[0], &quota, true).unwrap();
         assert!(truncated, "quota must have tripped");
         assert!(!out.is_empty(), "truncation keeps the rows already built");
         assert!(out.len() < 10_000);
@@ -471,18 +433,19 @@ mod tests {
         }
         // Without truncation the same quota is a hard error.
         let quota = ByteQuota::new(1024);
-        let err = join_governed(&a, &a, &[], &[0], &quota, false).unwrap_err();
+        let err = join_metered(&a, &a, &[], &[0], &quota, false).unwrap_err();
         assert!(matches!(err, Trip::Memory { bytes } if bytes > 1024));
     }
 
     #[test]
     fn governed_project_matches_and_trips() {
-        use crate::meter::{testing::ByteQuota, NoMeter, Trip};
+        use crate::meter::{testing::ByteQuota, Trip};
         let rel = r(&[[1, 10], [2, 10], [1, 10]]);
-        let p = project_governed(&rel, &[1], &NoMeter).unwrap();
+        let roomy = ByteQuota::new(1 << 20);
+        let p = project_metered(&rel, &[1], &roomy).unwrap();
         assert_eq!(p, project(&rel, &[1]));
         let tiny = ByteQuota::new(4);
-        let err = project_governed(&rel, &[1], &tiny).unwrap_err();
+        let err = project_metered(&rel, &[1], &tiny).unwrap_err();
         assert!(matches!(err, Trip::Memory { .. }));
     }
 

@@ -1,6 +1,7 @@
 //! Relations: flat, row-major tuple stores with cached hash indexes.
 
 use crate::index::Index;
+use crate::meter::{untripped, CostMeter, NoMeter, Trip, METER_CHUNK};
 use parking_lot::RwLock;
 use rustc_hash::FxHashMap;
 use std::fmt;
@@ -100,6 +101,7 @@ impl Eq for Relation {}
 
 impl Relation {
     /// An empty relation of the given arity.
+    #[inline]
     pub fn new(arity: usize) -> Self {
         Relation {
             arity,
@@ -224,8 +226,10 @@ impl Relation {
     }
 
     /// Iterate over rows.
+    #[inline]
     pub fn rows(&self) -> impl Iterator<Item = &[Value]> {
-        RowsIter { rel: self, next: 0 }
+        // A nullary relation's one row is the empty slice `data[0..0]`.
+        (0..self.len()).map(move |i| self.row(i))
     }
 
     /// Set-semantics membership test: binary search on sorted relations,
@@ -261,10 +265,28 @@ impl Relation {
     /// small interned domains), the sort runs over packed keys, whose
     /// order is exactly the lexicographic row order; wider rows fall back
     /// to slice comparisons.
+    ///
+    /// This is [`Relation::dedup_metered`] without a meter.
     pub fn dedup(&mut self) {
+        untripped(self.dedup_metered(&NoMeter))
+    }
+
+    /// The dedup kernel, under a [`CostMeter`]: polls once up front and
+    /// charges the rebuilt row store (plus the sort scratch) before
+    /// running. The poll granularity is the whole call rather than
+    /// [`METER_CHUNK`] — dedup rebuilds `self.data` in one atomic swap, so
+    /// there is no prefix worth keeping, and its inputs are bounded by
+    /// joins that were themselves metered.
+    ///
+    /// Abort-safe: a trip surfaces before the sort starts and the swap at
+    /// the end is the only mutation, so `Err` leaves `self` untouched.
+    pub fn dedup_metered<M: CostMeter>(&mut self, meter: &M) -> Result<(), Trip> {
         if self.arity == 0 || self.distinct || self.sorted {
-            return;
+            return Ok(());
         }
+        meter.tick(self.len() as u64)?;
+        // Rebuilt row store + (key, index) sort scratch, both ~|data|.
+        meter.charge_bytes(2 * (self.data.len() * std::mem::size_of::<Value>()) as u64)?;
         let n = self.len();
         let arity = self.arity;
         let mut maxes = vec![0u64; arity];
@@ -318,29 +340,6 @@ impl Relation {
         self.distinct = true;
         self.sorted = true;
         self.invalidate();
-    }
-
-    /// [`Relation::dedup`] under a [`CostMeter`](crate::meter::CostMeter):
-    /// polls once up front and charges the rebuilt row store (plus the
-    /// sort scratch) before running. The poll granularity is the whole
-    /// call rather than [`METER_CHUNK`](crate::meter::METER_CHUNK) — dedup
-    /// rebuilds `self.data` in one atomic swap, so there is no prefix
-    /// worth keeping, and its inputs are bounded by joins that were
-    /// themselves metered.
-    ///
-    /// Abort-safe: a trip surfaces before the sort starts and the swap at
-    /// the end is the only mutation, so `Err` leaves `self` untouched.
-    pub fn dedup_governed(
-        &mut self,
-        meter: &dyn crate::meter::CostMeter,
-    ) -> Result<(), crate::meter::Trip> {
-        if self.arity == 0 || self.distinct || self.sorted {
-            return Ok(());
-        }
-        meter.tick(self.len() as u64)?;
-        // Rebuilt row store + (key, index) sort scratch, both ~|data|.
-        meter.charge_bytes(2 * (self.data.len() * std::mem::size_of::<Value>()) as u64)?;
-        self.dedup();
         Ok(())
     }
 
@@ -405,44 +404,35 @@ impl Relation {
 
     /// [`Relation::retain_semijoin`] with the column lists already split
     /// out — the form the evaluation pipeline precomputes per join-tree
-    /// edge.
+    /// edge. [`Relation::retain_semijoin_cols_metered`] without a meter.
     pub fn retain_semijoin_cols(
         &mut self,
         left_cols: &[usize],
         right: &Relation,
         right_cols: &[usize],
     ) {
-        assert_eq!(left_cols.len(), right_cols.len(), "join column mismatch");
-        if left_cols.is_empty() {
-            if right.is_empty() {
-                self.clear();
-            }
-            return;
-        }
-        let index = right.index_on(right_cols);
-        self.retain(|row| index.contains(row, left_cols));
+        untripped(self.retain_semijoin_cols_metered(left_cols, right, right_cols, &NoMeter))
     }
 
-    /// [`Relation::retain_semijoin_cols`] under a
-    /// [`CostMeter`](crate::meter::CostMeter): the probe loop polls
-    /// `meter.tick` once per [`METER_CHUNK`](crate::meter::METER_CHUNK)
-    /// rows and the keep-flag scratch is charged.
+    /// The semijoin kernel, under a [`CostMeter`].
     ///
     /// Abort-safe by construction: every poll that can trip happens
     /// *before* the first mutation, so `Err` guarantees `self` is
     /// untouched and the next query sees an uncorrupted relation. A
-    /// relation within one chunk polls exactly once up front and then
-    /// runs the single-pass unmetered compaction (no scratch, no second
-    /// scan — this is the hot case on microsecond-scale queries); a
-    /// larger one probes over `&self` into a flag vector at chunk
-    /// granularity and compacts only once every row has been probed.
-    pub fn retain_semijoin_cols_governed(
+    /// relation within one chunk — or any relation when the meter is not
+    /// live — polls exactly once up front and then runs the single-pass
+    /// in-place compaction (no scratch, no second scan: the hot case on
+    /// microsecond-scale queries); a larger one under a live meter probes
+    /// over `&self` into a charged flag vector, polling once per
+    /// [`METER_CHUNK`] rows, and compacts only once every row has been
+    /// probed.
+    pub fn retain_semijoin_cols_metered<M: CostMeter>(
         &mut self,
         left_cols: &[usize],
         right: &Relation,
         right_cols: &[usize],
-        meter: &dyn crate::meter::CostMeter,
-    ) -> Result<(), crate::meter::Trip> {
+        meter: &M,
+    ) -> Result<(), Trip> {
         assert_eq!(left_cols.len(), right_cols.len(), "join column mismatch");
         if left_cols.is_empty() {
             meter.tick(1)?;
@@ -452,7 +442,7 @@ impl Relation {
             return Ok(());
         }
         let n = self.len();
-        if n <= crate::meter::METER_CHUNK {
+        if !M::LIVE || n <= METER_CHUNK {
             meter.tick(n as u64)?;
             let index = right.index_on(right_cols);
             self.retain(|row| index.contains(row, left_cols));
@@ -462,14 +452,16 @@ impl Relation {
         meter.charge_bytes(n as u64)?; // keep-flag scratch, one byte per row
         let mut keep = vec![false; n];
         for (i, flag) in keep.iter_mut().enumerate() {
-            if i.is_multiple_of(crate::meter::METER_CHUNK) {
-                meter.tick(crate::meter::METER_CHUNK.min(n - i) as u64)?;
+            if i.is_multiple_of(METER_CHUNK) {
+                meter.tick(METER_CHUNK.min(n - i) as u64)?;
             }
             *flag = index.contains(self.row(i), left_cols);
         }
-        let mut flags = keep.iter();
-        // archlint::allow(panic-free-request-path, reason = "retain_semijoin builds exactly one flag per row two lines up; silent row loss would be worse")
-        self.retain(|_| *flags.next().expect("one keep flag per row"));
+        let mut row = 0;
+        self.retain(|_| {
+            row += 1;
+            keep[row - 1]
+        });
         Ok(())
     }
 
@@ -514,6 +506,7 @@ impl Relation {
     }
 
     /// Reserve space for `rows` additional rows.
+    #[inline]
     pub(crate) fn reserve_rows(&mut self, rows: usize) {
         self.data.reserve_exact(rows * self.arity);
     }
@@ -521,6 +514,7 @@ impl Relation {
     /// Settle the order/duplicate flags after a bulk load, and drop any
     /// cached indexes. The caller vouches for the claims (`sorted` is
     /// widened to imply `distinct`).
+    #[inline]
     pub(crate) fn set_flags(&mut self, sorted: bool, distinct: bool) {
         self.sorted = sorted;
         self.distinct = distinct || sorted;
@@ -544,28 +538,6 @@ impl Relation {
     }
 }
 
-/// Iterator over the rows of a relation.
-struct RowsIter<'a> {
-    rel: &'a Relation,
-    next: usize,
-}
-
-impl<'a> Iterator for RowsIter<'a> {
-    type Item = &'a [Value];
-    fn next(&mut self) -> Option<&'a [Value]> {
-        if self.next >= self.rel.len() {
-            return None;
-        }
-        let i = self.next;
-        self.next += 1;
-        if self.rel.arity == 0 {
-            Some(&[])
-        } else {
-            Some(self.rel.row(i))
-        }
-    }
-}
-
 impl fmt::Debug for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Relation(arity={}, rows={})", self.arity, self.len())?;
@@ -585,10 +557,10 @@ mod tests {
 
     #[test]
     fn governed_semijoin_trip_leaves_the_relation_untouched() {
-        use crate::meter::{testing::TripAfter, NoMeter, Trip};
+        use crate::meter::testing::TripAfter;
         // 50 rows exercises the single-chunk fast path, METER_CHUNK + 10
         // the flag-vector path — the abort-safety contract is the same.
-        for n in [50u64, crate::meter::METER_CHUNK as u64 + 10] {
+        for n in [50u64, METER_CHUNK as u64 + 10] {
             let rows: Vec<[u64; 2]> = (0..n).map(|i| [i % 7, i]).collect();
             let mut left = Relation::from_rows(2, &rows);
             let before = left.clone();
@@ -596,7 +568,7 @@ mod tests {
             // Trip on the very first poll: the probe aborts before retain.
             let meter = TripAfter::new(0, Trip::Cancelled);
             let err = left
-                .retain_semijoin_cols_governed(&[0], &filter, &[0], &meter)
+                .retain_semijoin_cols_metered(&[0], &filter, &[0], &meter)
                 .unwrap_err();
             assert_eq!(err, Trip::Cancelled);
             assert_eq!(left, before, "Err must leave the relation byte-identical");
@@ -604,10 +576,15 @@ mod tests {
                 left.rows().collect::<Vec<_>>(),
                 before.rows().collect::<Vec<_>>()
             );
-            // Untripped, the governed form matches the plain one.
+            // Untripped, the live-meter passes match the unmetered one.
             let mut governed = before.clone();
             governed
-                .retain_semijoin_cols_governed(&[0], &filter, &[0], &NoMeter)
+                .retain_semijoin_cols_metered(
+                    &[0],
+                    &filter,
+                    &[0],
+                    &TripAfter::new(u64::MAX, Trip::Deadline),
+                )
                 .unwrap();
             let mut plain = before.clone();
             plain.retain_semijoin_cols(&[0], &filter, &[0]);
@@ -618,7 +595,7 @@ mod tests {
 
     #[test]
     fn governed_dedup_trips_before_mutating_and_matches_when_allowed() {
-        use crate::meter::{testing::ByteQuota, NoMeter, Trip};
+        use crate::meter::testing::ByteQuota;
         // push_row leaves the flags unset, so dedup has real work to do
         // (from_rows would dedup eagerly).
         let mut r = Relation::new(2);
@@ -627,10 +604,10 @@ mod tests {
         }
         let before = r.clone();
         let tiny = ByteQuota::new(8);
-        let err = r.dedup_governed(&tiny).unwrap_err();
+        let err = r.dedup_metered(&tiny).unwrap_err();
         assert!(matches!(err, Trip::Memory { .. }));
         assert_eq!(r, before, "tripped dedup must not touch the rows");
-        r.dedup_governed(&NoMeter).unwrap();
+        r.dedup_metered(&ByteQuota::new(1 << 20)).unwrap();
         let mut plain = before.clone();
         plain.dedup();
         assert_eq!(r, plain);

@@ -2,9 +2,19 @@
 //! probe-heavy operators (join, semijoin) shard-parallel with
 //! byte-identical results.
 //!
-//! The paper's LOGCFL-membership result says bounded-width evaluation is
-//! *highly parallelizable*; this module is the data-parallel half of that
-//! claim inside one query. The scheme:
+//! **Measured and parked.** Nothing in the workspace executes queries
+//! through this module any more: on the 2-core reference host, on the
+//! largest node-relation pair the benchmark serves (80 802 rows), two
+//! shards lose to the sequential kernels by 7.1× (join) and 1.8×
+//! (semijoin), so the intra-query sharding axis was removed from `eval`
+//! and `service`. [`join_sharded`] and [`retain_semijoin_cols_sharded`]
+//! stay only because the perf ledger (`ledger/`) times them as
+//! `relation.join_sharded2_ns_per_row` /
+//! `relation.semijoin_sharded2_ns_per_row`; they go when a later
+//! benchmark change drops those two columns, and come back into the
+//! pipeline only with a ledger row where two shards beat sequential.
+//!
+//! The scheme:
 //!
 //! * the **index side** of an operator is hash-partitioned by its join
 //!   columns ([`partition_by_cols`]) and each shard gets its own packed
@@ -24,18 +34,15 @@
 //! [`crate::Index`] machinery.
 //!
 //! Thresholding (when sharding is worth the partition pass) is the
-//! caller's job — the evaluation pipeline gates on row counts; these
-//! operators just honor the `shards` they are given, falling back to the
-//! sequential operator for `shards <= 1`, empty join keys, and nullary
-//! relations.
+//! caller's job; these operators just honor the `shards` they are given,
+//! falling back to the sequential operator for `shards <= 1`, empty join
+//! keys, and nullary relations.
 
 use crate::index::Index;
-use crate::meter::{CostMeter, Trip, METER_CHUNK};
 use crate::ops;
 use crate::relation::{Relation, Value};
-use parking_lot::Mutex;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The shard of `row` under `shards`-way hash-partitioning on `cols`.
@@ -196,6 +203,7 @@ fn shard_indexes(
 /// shard index's group layout (row ids ascending, exactly as in the whole
 /// relation), and the structural output flags are computed by the same
 /// rules.
+// archlint::allow(single-exec-path, reason = "measured-and-parked kernel the perf ledger times as relation.join_sharded2_ns_per_row; no request path calls it (see the module docs)")
 pub fn join_sharded(
     left: &Relation,
     right: &Relation,
@@ -211,17 +219,9 @@ pub fn join_sharded(
     let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
     let indexed = shard_indexes(right, &right_cols, shards);
 
-    // Same flag derivation as ops::join; `sorted` is always false here
-    // because it requires an empty `on`, which took the fallback above.
-    let mut covered = vec![false; right.arity()];
-    for &(_, rc) in on {
-        covered[rc] = true;
-    }
-    for &c in right_keep {
-        covered[c] = true;
-    }
-    let covers_right = covered.iter().all(|&b| b);
-    let distinct = left.is_set() && right.is_set() && covers_right;
+    // `sorted` is always false here: it requires an empty `on`, which
+    // took the fallback above.
+    let (_, distinct) = ops::join_output_flags(left, right, on, right_keep);
 
     let chunks = chunk_ranges(left.len(), shards);
     let outs: Vec<Relation> = parallel_map(&chunks, shards, |_, range| {
@@ -249,6 +249,7 @@ pub fn join_sharded(
 /// on the join key and the left side probed in parallel over contiguous
 /// row chunks. In-place and order-preserving like its sequential
 /// counterpart, hence byte-identical.
+// archlint::allow(single-exec-path, reason = "measured-and-parked kernel the perf ledger times as relation.semijoin_sharded2_ns_per_row; no request path calls it (see the module docs)")
 pub fn retain_semijoin_cols_sharded(
     left: &mut Relation,
     left_cols: &[usize],
@@ -280,203 +281,6 @@ pub fn retain_semijoin_cols_sharded(
     let mut flags = keeps.iter().flatten();
     // archlint::allow(panic-free-request-path, reason = "keep-flags are built one per row by the chunk loop above")
     left.retain(|_| *flags.next().expect("one flag per row"));
-}
-
-/// The trip rendezvous for the sharded governed kernels. Workers inside
-/// [`parallel_map`] must never panic (its join `expect`s success) and
-/// cannot return early across threads, so on a meter trip a worker
-/// records the first [`Trip`] here and bails with a placeholder result;
-/// the raised `tripped` flag makes every other worker bail at its next
-/// chunk boundary without re-polling the meter. The recorded trip is
-/// read only after `parallel_map` returns — i.e. after every scoped
-/// worker has joined — so a governed sharded kernel that returns `Err`
-/// has no detached work still running.
-struct TripSlot {
-    tripped: AtomicBool,
-    first: Mutex<Option<Trip>>,
-}
-
-impl TripSlot {
-    fn new() -> Self {
-        TripSlot {
-            tripped: AtomicBool::new(false),
-            first: Mutex::new(None),
-        }
-    }
-
-    /// Poll the meter (unless some worker already tripped); `false` means
-    /// "stop now".
-    fn tick(&self, meter: &dyn CostMeter, units: u64) -> bool {
-        if self.tripped.load(Ordering::Relaxed) {
-            return false;
-        }
-        match meter.tick(units) {
-            Ok(()) => true,
-            Err(trip) => {
-                self.record(trip);
-                false
-            }
-        }
-    }
-
-    /// Charge bytes (unless some worker already tripped); `false` means
-    /// "stop now".
-    fn charge(&self, meter: &dyn CostMeter, bytes: u64) -> bool {
-        if self.tripped.load(Ordering::Relaxed) {
-            return false;
-        }
-        match meter.charge_bytes(bytes) {
-            Ok(()) => true,
-            Err(trip) => {
-                self.record(trip);
-                false
-            }
-        }
-    }
-
-    fn record(&self, trip: Trip) {
-        let mut first = self.first.lock();
-        if first.is_none() {
-            *first = Some(trip);
-        }
-        self.tripped.store(true, Ordering::Relaxed);
-    }
-
-    fn into_trip(self) -> Option<Trip> {
-        self.first.into_inner()
-    }
-}
-
-/// [`join_sharded`] under a [`CostMeter`]: each chunk worker polls the
-/// meter once per [`METER_CHUNK`] rows in both the probe and build
-/// passes and charges its exact-size chunk output before allocating it.
-///
-/// On a trip every worker stops at its next chunk boundary and the first
-/// trip is returned — after all scoped workers have joined, so no work
-/// continues past the `Err`. There is no truncating mode here: a
-/// truncated sharded output would cut rows at arbitrary chunk positions,
-/// so governed callers that want degradation use the sequential
-/// [`ops::join_governed`] for their output-producing join.
-pub fn join_sharded_governed(
-    left: &Relation,
-    right: &Relation,
-    on: &[(usize, usize)],
-    right_keep: &[usize],
-    shards: usize,
-    meter: &dyn CostMeter,
-) -> Result<Relation, Trip> {
-    if shards <= 1 || on.is_empty() || left.arity() + right_keep.len() == 0 {
-        return ops::join_governed(left, right, on, right_keep, meter, false).map(|(out, _)| out);
-    }
-    let left_cols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-    let right_cols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-    // The partition pass copies the index side once.
-    meter.charge_bytes((right.len() * right.arity() * std::mem::size_of::<Value>()) as u64)?;
-    meter.tick(right.len() as u64)?;
-    let indexed = shard_indexes(right, &right_cols, shards);
-    let (_, distinct) = ops::join_output_flags(left, right, on, right_keep);
-    let out_arity = left.arity() + right_keep.len();
-    let row_bytes = (out_arity * std::mem::size_of::<Value>()) as u64;
-
-    let chunks = chunk_ranges(left.len(), shards);
-    let trip = TripSlot::new();
-    let outs: Vec<Option<Relation>> = parallel_map(&chunks, shards, |_, range| {
-        let mut rows = 0usize;
-        for (j, i) in range.clone().enumerate() {
-            if j.is_multiple_of(METER_CHUNK)
-                && !trip.tick(meter, METER_CHUNK.min(range.end - i) as u64)
-            {
-                return None;
-            }
-            let lrow = left.row(i);
-            let (_, idx) = &indexed[shard_of(lrow, &left_cols, shards)];
-            rows += idx.probe_rows(lrow, &left_cols).len();
-        }
-        if !trip.charge(meter, rows as u64 * row_bytes) {
-            return None;
-        }
-        let mut out = Relation::with_capacity(out_arity, rows);
-        let mut built = 0usize;
-        for i in range.clone() {
-            let lrow = left.row(i);
-            let (part, idx) = &indexed[shard_of(lrow, &left_cols, shards)];
-            for &ri in idx.probe_rows(lrow, &left_cols) {
-                if built.is_multiple_of(METER_CHUNK)
-                    && !trip.tick(meter, METER_CHUNK.min(rows - built) as u64)
-                {
-                    return None;
-                }
-                out.extend_joined(lrow, part.row(ri as usize), right_keep);
-                built += 1;
-            }
-        }
-        Some(out)
-    });
-    if let Some(t) = trip.into_trip() {
-        return Err(t);
-    }
-    let outs: Vec<Relation> = outs
-        .into_iter()
-        // archlint::allow(panic-free-request-path, reason = "trip check precedes collection: untripped workers always produce a chunk")
-        .map(|o| o.expect("untripped workers always produce a chunk"))
-        .collect();
-    Ok(concat_with_flags(&outs, false, distinct))
-}
-
-/// [`retain_semijoin_cols_sharded`] under a [`CostMeter`]: the parallel
-/// probe phase polls per [`METER_CHUNK`] rows; a trip is returned only
-/// after every scoped worker has joined, and *before* the in-place
-/// compaction starts — on `Err`, `left` is untouched (same abort-safety
-/// contract as [`Relation::retain_semijoin_cols_governed`]).
-pub fn retain_semijoin_cols_sharded_governed(
-    left: &mut Relation,
-    left_cols: &[usize],
-    right: &Relation,
-    right_cols: &[usize],
-    shards: usize,
-    meter: &dyn CostMeter,
-) -> Result<(), Trip> {
-    assert_eq!(left_cols.len(), right_cols.len(), "join column mismatch");
-    if shards <= 1 || left_cols.is_empty() || left.len() <= 1 {
-        return left.retain_semijoin_cols_governed(left_cols, right, right_cols, meter);
-    }
-    // Partition copy of the filter side + one keep flag per left row.
-    meter.charge_bytes(
-        (right.len() * right.arity() * std::mem::size_of::<Value>()) as u64 + left.len() as u64,
-    )?;
-    meter.tick(right.len() as u64)?;
-    let indexed = shard_indexes(right, right_cols, shards);
-    let chunks = chunk_ranges(left.len(), shards);
-    let trip = TripSlot::new();
-    let keeps: Vec<Option<Vec<bool>>> = {
-        // Shadow `left` immutably for the probe phase.
-        let left = &*left;
-        parallel_map(&chunks, shards, |_, range| {
-            let mut flags = Vec::with_capacity(range.len());
-            for (j, i) in range.clone().enumerate() {
-                if j.is_multiple_of(METER_CHUNK)
-                    && !trip.tick(meter, METER_CHUNK.min(range.end - i) as u64)
-                {
-                    return None;
-                }
-                let lrow = left.row(i);
-                let (_, idx) = &indexed[shard_of(lrow, left_cols, shards)];
-                flags.push(idx.contains(lrow, left_cols));
-            }
-            Some(flags)
-        })
-    };
-    if let Some(t) = trip.into_trip() {
-        return Err(t);
-    }
-    let mut flags = keeps.iter().flat_map(|k| {
-        k.as_deref()
-            // archlint::allow(panic-free-request-path, reason = "trip check precedes collection: untripped workers always produce flags")
-            .expect("untripped workers always produce flags")
-    });
-    // archlint::allow(panic-free-request-path, reason = "flags vector holds exactly one flag per row of the left relation")
-    left.retain(|_| *flags.next().expect("one flag per row"));
-    Ok(())
 }
 
 #[cfg(test)]
@@ -609,78 +413,6 @@ mod tests {
         let mut r = sample(20);
         retain_semijoin_cols_sharded(&mut r, &[0], &Relation::new(1), &[0], 4);
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn join_sharded_governed_with_no_meter_is_byte_identical() {
-        use crate::meter::NoMeter;
-        let a = sample(300);
-        let b_rows: Vec<[u64; 2]> = (0..120u64).map(|i| [i % 17, i]).collect();
-        let b = Relation::from_rows(2, &b_rows);
-        let seq = ops::join(&a, &b, &[(0, 0)], &[1]);
-        for shards in [1, 2, 3, 8] {
-            let par = join_sharded_governed(&a, &b, &[(0, 0)], &[1], shards, &NoMeter).unwrap();
-            assert_eq!(par, seq, "shards = {shards}");
-            assert_eq!(
-                par.rows().collect::<Vec<_>>(),
-                seq.rows().collect::<Vec<_>>()
-            );
-        }
-    }
-
-    #[test]
-    fn governed_sharded_trip_joins_all_workers_before_returning() {
-        use crate::meter::{testing::TripAfter, Trip};
-        use std::sync::atomic::Ordering;
-        // Enough rows that every one of the 4 chunk workers runs several
-        // poll chunks; the meter trips partway through.
-        let rows: Vec<[u64; 2]> = (0..40_000).map(|i| [i % 97, i]).collect();
-        let left = Relation::from_rows(2, &rows);
-        let right_rows: Vec<[u64; 2]> = (0..97).map(|i| [i, i]).collect();
-        let right = Relation::from_rows(2, &right_rows);
-
-        let meter = TripAfter::new(3, Trip::Deadline);
-        let err = join_sharded_governed(&left, &right, &[(0, 0)], &[1], 4, &meter).unwrap_err();
-        assert_eq!(err, Trip::Deadline);
-        // Scoped threads guarantee every worker joined before the Err was
-        // produced; belt-and-braces, observe that no detached work keeps
-        // polling the meter after the kernel returned.
-        let after = meter.ticks.load(Ordering::Relaxed);
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(
-            meter.ticks.load(Ordering::Relaxed),
-            after,
-            "no worker may outlive the kernel's Err return"
-        );
-
-        // Same contract for the in-place semijoin, which additionally must
-        // leave `left` untouched on Err.
-        let mut governed = left.clone();
-        let meter = TripAfter::new(3, Trip::Deadline);
-        let err =
-            retain_semijoin_cols_sharded_governed(&mut governed, &[0], &right, &[0], 4, &meter)
-                .unwrap_err();
-        assert_eq!(err, Trip::Deadline);
-        assert_eq!(governed, left, "Err must leave the left side untouched");
-        let after = meter.ticks.load(Ordering::Relaxed);
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert_eq!(meter.ticks.load(Ordering::Relaxed), after);
-    }
-
-    #[test]
-    fn governed_sharded_semijoin_matches_when_untripped() {
-        use crate::meter::NoMeter;
-        let base = sample(257);
-        let filter_rows: Vec<[u64; 2]> = (0..40u64).map(|i| [i % 17, 3]).collect();
-        let filter = Relation::from_rows(2, &filter_rows);
-        let mut seq = base.clone();
-        seq.retain_semijoin_cols(&[0], &filter, &[0]);
-        for shards in [1, 2, 9] {
-            let mut par = base.clone();
-            retain_semijoin_cols_sharded_governed(&mut par, &[0], &filter, &[0], shards, &NoMeter)
-                .unwrap();
-            assert_eq!(par, seq, "shards = {shards}");
-        }
     }
 
     #[test]

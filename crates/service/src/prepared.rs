@@ -10,7 +10,7 @@
 
 use crate::ServiceError;
 use cq::{parse_query, ConjunctiveQuery, Term};
-use eval::{EvalError, ShardConfig, Strategy};
+use eval::{EvalError, ExecCtx, Strategy};
 use hypergraph::acyclic;
 use hypertree_core::{DecompCache, QueryBudget, QueryError};
 use relation::{Database, Relation};
@@ -72,101 +72,39 @@ fn provenance_str(p: heuristics::Provenance) -> &'static str {
 }
 
 impl PreparedQuery {
-    /// Compile `text` end to end. Decompositions go through `cache`, so
-    /// preparing two queries with the same hypergraph shape decomposes
-    /// once.
+    /// Compile `text` end to end, with no budget and no trace.
+    /// Decompositions go through `cache`, so preparing two queries with
+    /// the same hypergraph shape decomposes once.
     pub fn prepare(
         text: &str,
         cache: &DecompCache,
         cfg: &PrepareConfig,
     ) -> Result<PreparedQuery, ServiceError> {
         let q = parse_query(text).map_err(ServiceError::Parse)?;
-        Ok(Self::prepare_parsed(q, cache, cfg))
-    }
-
-    /// Compile an already parsed query (planning cannot fail: every query
-    /// has at worst the trivial single-node decomposition).
-    pub fn prepare_parsed(
-        q: ConjunctiveQuery,
-        cache: &DecompCache,
-        cfg: &PrepareConfig,
-    ) -> PreparedQuery {
         let key = plan_key(&q);
-        Self::prepare_parsed_with_key(q, key, cache, cfg)
+        let (budget, obs) = (QueryBudget::unlimited(), obs::Tracer::off());
+        Self::prepare_parsed(q, key, cache, cfg, &budget, &obs).map_err(ServiceError::Budget)
     }
 
-    /// [`Self::prepare_parsed`] with the plan key already rendered —
-    /// callers that just probed a cache with the key (the [`crate::Service`]
-    /// miss path) avoid rendering it a second time. `key` must be
-    /// `plan_key(&q)`.
-    pub fn prepare_parsed_with_key(
-        q: ConjunctiveQuery,
-        key: String,
-        cache: &DecompCache,
-        cfg: &PrepareConfig,
-    ) -> PreparedQuery {
-        debug_assert_eq!(key, plan_key(&q), "key must be the query's plan key");
-        let h = q.hypergraph();
-        let (strategy, kind, provenance, decomp_cache_hit) = match acyclic::join_tree(&h) {
-            Some(jt) => (Strategy::JoinTree(jt), PlanKind::JoinTree, "acyclic", None),
-            None => {
-                let fresh = std::cell::Cell::new(None::<heuristics::Provenance>);
-                let hd = cache.get_or_insert_with(&h, |h| {
-                    let auto = heuristics::decompose_auto(h, cfg.exact_steps);
-                    fresh.set(Some(auto.provenance));
-                    auto.hd
-                });
-                // The cache stores only the decomposition: a hit cannot
-                // recover how the original decomposer tier arrived at it.
-                let provenance = match fresh.get() {
-                    Some(p) => provenance_str(p),
-                    None => "cached",
-                };
-                // One decomposition clone per *prepare* (not per execution);
-                // the plan must own its data to outlive cache eviction.
-                (
-                    Strategy::from_decomposition((*hd).clone()),
-                    PlanKind::Decomposition,
-                    provenance,
-                    Some(fresh.get().is_none()),
-                )
-            }
-        };
-        PreparedQuery {
-            query: q,
-            key,
-            strategy,
-            kind,
-            provenance,
-            decomp_cache_hit,
-        }
-    }
-
-    /// [`Self::prepare_parsed_with_key`] under a [`QueryBudget`] — the
-    /// planning tier of the degradation ladder. The budget is polled
-    /// before planning starts, and a cyclic query's decomposition runs
-    /// [`heuristics::decompose_auto_governed`] with the bounded exact
-    /// search capped to *half* the budget's remaining time: an exact
-    /// search that overruns its share degrades to the heuristic witness
-    /// rather than eating the whole request deadline. Preparation fails
-    /// only when the budget trips before *any* plan exists; a failed
-    /// preparation inserts nothing into `cache`.
-    pub fn prepare_parsed_governed(
-        q: ConjunctiveQuery,
-        key: String,
-        cache: &DecompCache,
-        cfg: &PrepareConfig,
-        budget: &QueryBudget,
-    ) -> Result<PreparedQuery, QueryError> {
-        Self::prepare_parsed_observed(q, key, cache, cfg, budget, &obs::Tracer::off())
-    }
-
-    /// [`Self::prepare_parsed_governed`] recorded into `obs`: the whole
-    /// preparation runs under a `plan` span, a decomposition-cache miss
-    /// additionally runs under a nested `decompose` span, and the
-    /// decomposition-cache outcome and resulting plan shape/width are
-    /// noted on the trace.
-    pub fn prepare_parsed_observed(
+    /// Compile an already parsed query whose plan key is already
+    /// rendered (`key` must be `plan_key(&q)`) under a [`QueryBudget`] —
+    /// the planning tier of the degradation ladder — recording into
+    /// `obs`.
+    ///
+    /// The budget is polled before planning starts, and a cyclic query's
+    /// decomposition runs [`heuristics::decompose_auto_governed`] with
+    /// the bounded exact search capped to *half* the budget's remaining
+    /// time: an exact search that overruns its share degrades to the
+    /// heuristic witness rather than eating the whole request deadline.
+    /// Preparation fails only when the budget trips before *any* plan
+    /// exists (every query has at worst the trivial single-node
+    /// decomposition); a failed preparation inserts nothing into `cache`.
+    ///
+    /// The whole preparation runs under a `plan` span, a
+    /// decomposition-cache miss additionally under a nested `decompose`
+    /// span, and the decomposition-cache outcome and resulting plan
+    /// shape/width are noted on the trace.
+    pub fn prepare_parsed(
         q: ConjunctiveQuery,
         key: String,
         cache: &DecompCache,
@@ -194,10 +132,14 @@ impl PreparedQuery {
                 })?;
                 let hit = fresh.get().is_none();
                 obs.note_decomp_cache(hit);
+                // The cache stores only the decomposition: a hit cannot
+                // recover how the original decomposer tier arrived at it.
                 let provenance = match fresh.get() {
                     Some(p) => provenance_str(p),
                     None => "cached",
                 };
+                // One decomposition clone per *prepare* (not per execution);
+                // the plan must own its data to outlive cache eviction.
                 (
                     Strategy::from_decomposition((*hd).clone()),
                     PlanKind::Decomposition,
@@ -222,6 +164,9 @@ impl PreparedQuery {
     /// preparation runs under the tracer and when a plan-cache hit skips
     /// preparation entirely).
     pub fn note_plan(&self, obs: &obs::Tracer) {
+        if !obs.enabled() {
+            return;
+        }
         let shape = match self.kind {
             PlanKind::JoinTree => obs::PlanShape::JoinTree,
             PlanKind::Decomposition => obs::PlanShape::Hypertree,
@@ -269,8 +214,8 @@ impl PreparedQuery {
     /// *completed* decomposition for hypertree plans — the same tree
     /// the Lemma 4.6 reduction runs on), so
     /// [`obs::QueryTrace::node_rows`] indices line up for EXPLAIN
-    /// ANALYZE. Cache lineage and shard configuration are left for the
-    /// serving layer to fill in.
+    /// ANALYZE. Plan-cache lineage is left for the serving layer to fill
+    /// in.
     pub fn explain(&self, query_text: &str) -> obs::PlanExplain {
         let h = self.query.hypergraph();
         let mut nodes = Vec::new();
@@ -326,122 +271,36 @@ impl PreparedQuery {
             provenance: self.provenance,
             plan_cache_hit: None,
             decomp_cache_hit: self.decomp_cache_hit,
-            shards: 1,
-            shard_min_rows: 0,
             nodes,
         }
     }
 
-    /// Answer the Boolean query against `db`.
-    pub fn boolean(&self, db: &Database) -> Result<bool, EvalError> {
-        self.strategy.boolean(&self.query, db)
+    /// Answer the Boolean query against `db`, under `ctx`
+    /// ([`eval::Unlimited`] for no budget and no trace): every
+    /// long-running loop polls the context at chunk granularity and
+    /// unwinds with [`EvalError::Budget`] on a trip.
+    pub fn boolean<C: ExecCtx>(&self, db: &Database, ctx: &C) -> Result<bool, EvalError> {
+        self.strategy.boolean(&self.query, db, ctx)
     }
 
     /// Enumerate the answers over the head variables against `db`.
-    pub fn enumerate(&self, db: &Database) -> Result<Relation, EvalError> {
-        self.strategy.enumerate(&self.query, db)
+    /// Returns `(rows, truncated)`: `truncated == true` means the byte
+    /// quota tripped during the output join and the rows are a sound
+    /// *subset* of the answers (see [`eval::Pipeline::enumerate_in`]).
+    pub fn enumerate<C: ExecCtx>(
+        &self,
+        db: &Database,
+        ctx: &C,
+    ) -> Result<(Relation, bool), EvalError> {
+        self.strategy.enumerate(&self.query, db, ctx)
     }
 
     /// Count the satisfying assignments over `var(Q)` against `db`.
-    /// Saturates at `u128::MAX` (see [`eval::Pipeline::count`]).
-    pub fn count(&self, db: &Database) -> Result<u128, EvalError> {
-        eval::counting::count_with(&self.strategy, &self.query, db)
-    }
-
-    /// [`Self::boolean`] with the per-query work hash-sharded across
-    /// `cfg` shards (see [`eval::sharded`]). Identical answer.
-    pub fn boolean_sharded(&self, db: &Database, cfg: &ShardConfig) -> Result<bool, EvalError> {
-        self.strategy.boolean_sharded(&self.query, db, cfg)
-    }
-
-    /// [`Self::enumerate`] sharded: byte-identical rows, same order.
-    pub fn enumerate_sharded(
-        &self,
-        db: &Database,
-        cfg: &ShardConfig,
-    ) -> Result<Relation, EvalError> {
-        self.strategy.enumerate_sharded(&self.query, db, cfg)
-    }
-
-    /// [`Self::count`] sharded: identical value, saturation included.
-    pub fn count_sharded(&self, db: &Database, cfg: &ShardConfig) -> Result<u128, EvalError> {
-        eval::counting::count_with_sharded(&self.strategy, &self.query, db, cfg)
-    }
-
-    /// [`Self::boolean_sharded`] under a [`QueryBudget`]: every
-    /// long-running loop polls the budget at chunk granularity and
-    /// unwinds with [`EvalError::Budget`] on a trip.
-    pub fn boolean_governed(
-        &self,
-        db: &Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<bool, EvalError> {
-        self.strategy.boolean_governed(&self.query, db, cfg, budget)
-    }
-
-    /// [`Self::enumerate_sharded`] under a [`QueryBudget`]. Returns
-    /// `(rows, truncated)`: `truncated == true` means the byte quota
-    /// tripped during the output join and the rows are a sound *subset*
-    /// of the answers (see [`eval::Pipeline::enumerate_governed`]).
-    pub fn enumerate_governed(
-        &self,
-        db: &Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<(Relation, bool), EvalError> {
-        self.strategy
-            .enumerate_governed(&self.query, db, cfg, budget)
-    }
-
-    /// [`Self::count_sharded`] under a [`QueryBudget`]. Memory trips are
-    /// hard errors — a truncated count would be silently wrong.
-    pub fn count_governed(
-        &self,
-        db: &Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-    ) -> Result<u128, EvalError> {
-        self.strategy.count_governed(&self.query, db, cfg, budget)
-    }
-
-    /// [`Self::boolean_governed`] with phase spans and row scans
-    /// recorded into `obs`.
-    pub fn boolean_observed(
-        &self,
-        db: &Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<bool, EvalError> {
-        self.strategy
-            .boolean_observed(&self.query, db, cfg, budget, obs)
-    }
-
-    /// [`Self::enumerate_governed`] with phase spans and row scans
-    /// recorded into `obs`.
-    pub fn enumerate_observed(
-        &self,
-        db: &Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<(Relation, bool), EvalError> {
-        self.strategy
-            .enumerate_observed(&self.query, db, cfg, budget, obs)
-    }
-
-    /// [`Self::count_governed`] with phase spans and row scans recorded
-    /// into `obs`.
-    pub fn count_observed(
-        &self,
-        db: &Database,
-        cfg: &ShardConfig,
-        budget: &QueryBudget,
-        obs: &obs::Tracer,
-    ) -> Result<u128, EvalError> {
-        self.strategy
-            .count_observed(&self.query, db, cfg, budget, obs)
+    /// Saturates at `u128::MAX` (see [`eval::Pipeline::count_in`]).
+    /// Memory trips are hard errors — a truncated count would be
+    /// silently wrong.
+    pub fn count<C: ExecCtx>(&self, db: &Database, ctx: &C) -> Result<u128, EvalError> {
+        self.strategy.count(&self.query, db, ctx)
     }
 }
 
@@ -540,14 +399,15 @@ mod tests {
         db.add_fact("r", &[1, 2]);
         db.add_fact("s", &[2, 3]);
         db.add_fact("t", &[3, 1]);
-        assert_eq!(p.boolean(&db), Ok(true));
-        let rows = p.enumerate(&db).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(p.count(&db), Ok(1));
+        let ctx = eval::Unlimited;
+        assert_eq!(p.boolean(&db, &ctx), Ok(true));
+        let (rows, truncated) = p.enumerate(&db, &ctx).unwrap();
+        assert_eq!((rows.len(), truncated), (1, false));
+        assert_eq!(p.count(&db, &ctx), Ok(1));
         // The very same plan object answers a different database.
         let empty = Database::new();
-        assert_eq!(p.boolean(&empty), Ok(false));
-        assert_eq!(p.count(&empty), Ok(0));
+        assert_eq!(p.boolean(&empty, &ctx), Ok(false));
+        assert_eq!(p.count(&empty, &ctx), Ok(0));
     }
 
     #[test]

@@ -15,20 +15,23 @@
 //! `hypertree_core::parallel`, with a shared atomic cursor handing out
 //! work items so stragglers do not serialise the batch.
 //!
-//! Parallelism comes in two grains that must not multiply: *across*
-//! requests (the batch worker pool above) and *within* one query
-//! ([`eval::sharded`] hash-sharded execution, enabled by
-//! [`ServiceConfig::intra_query_shards`]). When a batch's execute phase
-//! runs on more than one worker, every request is executed sequentially
-//! (`shards = 1`) — the cores are already busy with other requests;
-//! single-request [`Service::execute`] and one-worker batches use the
-//! configured shard count instead. Sharded execution is byte-identical
-//! to sequential, so the choice is invisible in the answers.
+//! There is one execution path. Every entry point — [`Service::execute`],
+//! [`Service::execute_traced`], [`Service::execute_batch`],
+//! [`Service::prepare`], [`Service::explain`],
+//! [`Service::explain_analyze`] — resolves its plan through the same
+//! function, under a fresh [`QueryBudget`] and inside the same panic
+//! isolation, and evaluates through the same three [`PreparedQuery`]
+//! operations. Whether a request pays for budget polling and tracing is
+//! decided once per request from what the service can observe — its
+//! budget has no limit and its tracer is off — by picking the zero-sized
+//! [`eval::Unlimited`] context over [`eval::Governed`]; no option selects
+//! a path.
 
 use crate::plan_cache::PlanStats;
 use crate::prepared::{plan_key, PrepareConfig, PreparedQuery};
 use crate::{PlanCache, ServiceError};
-use cq::parse_query;
+use cq::{parse_query, ConjunctiveQuery};
+use eval::{ExecCtx, Governed, Unlimited};
 use hypertree_core::parallel::run_parallel;
 use hypertree_core::{DecompCache, QueryBudget};
 use obs::{Phase, QueryTrace, TraceOutcome, Tracer};
@@ -127,16 +130,6 @@ pub struct ServiceConfig {
     pub max_threads: usize,
     /// Batches smaller than this run inline on the calling thread.
     pub min_parallel_batch: usize,
-    /// Intra-query shard count (see [`eval::ShardConfig`]): `1` keeps
-    /// every request sequential, `0` = the machine's available
-    /// parallelism, `n > 1` = exactly `n` shards. Only applies when the
-    /// batch worker pool is not already using the cores — a multi-worker
-    /// execute phase forces `shards = 1` per request so the two grains of
-    /// parallelism never oversubscribe.
-    pub intra_query_shards: usize,
-    /// Per-step size floor for intra-query sharding: a join or semijoin
-    /// shards only if one side has at least this many rows.
-    pub shard_min_rows: usize,
     /// Per-request wall-clock deadline; `None` = none. The clock starts
     /// when the request's processing starts; in a batch, a preparation
     /// shared by several requests runs under its own deadline of the same
@@ -184,8 +177,6 @@ impl Default for ServiceConfig {
             prepare: PrepareConfig::default(),
             max_threads: 0,
             min_parallel_batch: 4,
-            intra_query_shards: 1,
-            shard_min_rows: eval::ShardConfig::DEFAULT_MIN_ROWS,
             deadline: None,
             max_result_bytes: None,
             max_queue_depth: 0,
@@ -387,30 +378,31 @@ impl Service {
         std::mem::replace(&mut *self.db.write(), db)
     }
 
-    /// Prepare (or fetch from the plan cache) the plan for `text`.
+    /// Prepare (or fetch from the plan cache) the plan for `text`, exactly
+    /// as serving it would: under the configured deadline and inside the
+    /// panic-isolation boundary.
     pub fn prepare(&self, text: &str) -> Result<Arc<PreparedQuery>, ServiceError> {
-        let q = parse_query(text).map_err(ServiceError::Parse)?;
-        let key = plan_key(&q);
-        self.plans.get_or_prepare_with(&key, || {
-            Ok(PreparedQuery::prepare_parsed_with_key(
-                q,
-                key.clone(),
-                &self.decomps,
-                &self.cfg.prepare,
-            ))
-        })
+        Ok(self.resolve_text(text)?.0)
     }
 
-    /// Serve one request against the current snapshot. A single request
-    /// has the whole machine to itself, so it runs with the configured
-    /// intra-query shard count.
+    /// Resolve the plan for `text` outside any request, untraced: what
+    /// [`Service::prepare`] and [`Service::explain`] share. Returns the
+    /// plan and whether the plan cache hit.
+    fn resolve_text(&self, text: &str) -> Result<(Arc<PreparedQuery>, bool), ServiceError> {
+        let obs = Tracer::off();
+        let (q, key) = parse(text, &obs)?;
+        let budget = self.new_budget();
+        self.isolated(|| self.resolve(&q, &key, text, &budget, &obs))
+    }
+
+    /// Serve one request against the current snapshot.
     ///
     /// The request runs inside a `catch_unwind` isolation boundary: a
     /// panic anywhere in the serving stack comes back as
     /// [`ServiceError::Internal`] instead of unwinding into the caller,
     /// and leaves both caches free of half-built entries.
     pub fn execute(&self, req: &Request) -> Response {
-        self.execute_inner(req, &Tracer::off()).0
+        self.serve(req, &Tracer::off()).response
     }
 
     /// Serve one request with full tracing: same answer as
@@ -418,18 +410,17 @@ impl Service {
     /// beside the computation, never in it), plus a [`QueryTrace`]
     /// saying where the time went and what was touched.
     pub fn execute_traced(&self, req: &Request) -> TracedResponse {
-        let obs = Tracer::on();
-        let (response, trace) = self.execute_inner(req, &obs);
+        let served = self.serve(req, &Tracer::on());
         TracedResponse {
-            response,
-            trace: trace.unwrap_or_default(),
+            response: served.response,
+            trace: served.trace.unwrap_or_default(),
         }
     }
 
-    /// The shared single-request path behind [`Service::execute`]
-    /// (disabled tracer: each would-be span costs one branch) and
-    /// [`Service::execute_traced`].
-    fn execute_inner(&self, req: &Request, obs: &Tracer) -> (Response, Option<QueryTrace>) {
+    /// The single-request path behind [`Service::execute`] (disabled
+    /// tracer), [`Service::execute_traced`] and
+    /// [`Service::explain_analyze`].
+    fn serve(&self, req: &Request, obs: &Tracer) -> Served {
         let n = self.requests.incr();
         self.op_counter(req.op).incr();
         // Promote 1-in-N untraced requests to a full trace so the flight
@@ -446,50 +437,48 @@ impl Service {
         };
         let watch = (n & LATENCY_SAMPLE_MASK == 0).then(obs::Stopwatch::start);
         let snapshot = self.snapshot();
-        let shard = self.shard_config(1);
         // The budget lives outside the isolation boundary so its byte and
         // step gauges are still readable when the trace is assembled.
         let budget = self.new_budget();
         // The resolved plan escapes the isolation boundary so the
         // response and trace can be attributed to its plan key; a panic
         // before resolution leaves it `None` (nothing to attribute to).
-        let mut resolved: Option<Arc<PreparedQuery>> = None;
-        let resp = self.isolated(|| {
-            if !self.is_governed() && !obs.enabled() {
-                let plan = self.prepare(&req.text)?;
-                resolved = Some(Arc::clone(&plan));
-                return run_op(&plan, req.op, &snapshot, &shard);
-            }
-            let plan = self.prepare_observed(&req.text, &budget, obs)?;
-            resolved = Some(Arc::clone(&plan));
-            self.serve_prepared(req, &plan, &snapshot, &shard, &budget, obs)
+        let mut plan: Option<Arc<PreparedQuery>> = None;
+        let response = self.isolated(|| {
+            let (q, key) = parse(&req.text, obs)?;
+            let (resolved, _) = self.resolve(&q, &key, &req.text, &budget, obs)?;
+            let plan = plan.insert(resolved);
+            self.run(req, plan, &snapshot, &budget, obs)
         });
-        self.note(&resp);
-        let stats = resolved
+        self.note(&response);
+        let stats = plan
             .as_ref()
             .map(|p| self.plans.stats_for(p.key(), &self.registry));
         if let Some(s) = &stats {
             s.requests.incr();
-            self.note_plan_errors(s, &resp);
+            self.note_plan_errors(s, &response);
         }
         if let Some(w) = watch {
             self.latency_ns.record(w.elapsed_ns());
         }
         let trace = obs.finish(TraceOutcome {
             op: op_name(req.op),
-            rows_emitted: match &resp {
+            rows_emitted: match &response {
                 Ok(Outcome::Rows(rows)) | Ok(Outcome::Partial(rows)) => rows.len() as u64,
                 _ => 0,
             },
             bytes_charged: budget.bytes_charged(),
             steps_charged: budget.steps_charged(),
-            shards: shard.effective_shards() as u64,
-            truncated: matches!(&resp, Ok(Outcome::Partial(_))),
+            truncated: matches!(&response, Ok(Outcome::Partial(_))),
         });
         if let Some(t) = &trace {
             self.record_trace(t, explicit, stats.as_deref());
         }
-        (resp, trace)
+        Served {
+            response,
+            trace,
+            plan,
+        }
     }
 
     /// Fold one finished trace into the aggregate metrics, the flight
@@ -562,38 +551,24 @@ impl Service {
         let shed = reqs.len() - admitted.len();
         self.sheds.add(shed as u64);
 
-        // Parse phase (cheap, inline) + dedup by plan key.
-        let mut uniques: Vec<(String, cq::ConjunctiveQuery)> = Vec::new();
+        // Parse phase (cheap, inline) + dedup by plan key. Each distinct
+        // key remembers the first request text that produced it: the
+        // fault injector is keyed by text, preparation by plan key.
+        let mut uniques: Vec<(String, ConjunctiveQuery, &str)> = Vec::new();
         let mut key_to_unique: FxHashMap<String, usize> = FxHashMap::default();
+        let off = Tracer::off();
         let parsed: Vec<Result<usize, ServiceError>> = admitted
             .iter()
             .map(|req| {
                 self.op_counter(req.op).incr();
-                let q = parse_query(&req.text).map_err(ServiceError::Parse)?;
-                let key = plan_key(&q);
+                let (q, key) = parse(&req.text, &off)?;
                 let idx = *key_to_unique.entry(key.clone()).or_insert_with(|| {
-                    uniques.push((key, q));
+                    uniques.push((key, q, &req.text));
                     uniques.len() - 1
                 });
                 Ok(idx)
             })
             .collect();
-
-        // The fault injector is keyed by request text, but preparation is
-        // per plan key — resolve each unique back to the first request
-        // text that produced it so Prepare-site faults can fire.
-        #[cfg(feature = "fault-injection")]
-        let unique_texts: Vec<&str> = {
-            let mut texts = vec![""; uniques.len()];
-            for (req, p) in admitted.iter().zip(&parsed) {
-                if let Ok(u) = p {
-                    if texts[*u].is_empty() {
-                        texts[*u] = &req.text;
-                    }
-                }
-            }
-            texts
-        };
 
         // Prepare phase: each distinct key exactly once, in parallel —
         // distinct keys mean distinct (potentially expensive) plans, and
@@ -603,63 +578,27 @@ impl Service {
         // that deduplicated onto it.
         let workers = self.worker_count(uniques.len());
         let plans: Vec<Result<Arc<PreparedQuery>, ServiceError>> =
-            run_parallel(&uniques, workers, |u, (key, q)| {
-                #[cfg(not(feature = "fault-injection"))]
-                let _ = u;
+            run_parallel(&uniques, workers, |_, (key, q, text)| {
                 self.isolated(|| {
-                    if !self.is_governed() {
-                        return self.plans.get_or_prepare_with(key, || {
-                            Ok(PreparedQuery::prepare_parsed_with_key(
-                                q.clone(),
-                                key.clone(),
-                                &self.decomps,
-                                &self.cfg.prepare,
-                            ))
-                        });
-                    }
                     let budget = self.new_budget();
-                    self.plans.get_or_prepare_with(key, || {
-                        #[cfg(feature = "fault-injection")]
-                        self.fire_fault(
-                            crate::fault::FaultSite::Prepare,
-                            unique_texts[u],
-                            &budget,
-                        )?;
-                        PreparedQuery::prepare_parsed_governed(
-                            q.clone(),
-                            key.clone(),
-                            &self.decomps,
-                            &self.cfg.prepare,
-                            &budget,
-                        )
-                        .map_err(ServiceError::Budget)
-                    })
+                    let (plan, _) = self.resolve(q, key, text, &budget, &off)?;
+                    Ok(plan)
                 })
             });
 
         // Execute phase: every request independently, against the shared
-        // snapshot, through its (shared) plan. With more than one worker
-        // the cores are spoken for, so each request runs unsharded; a
-        // one-worker (small or capped) batch shards within the query
-        // instead.
+        // snapshot, through its (shared) plan.
         let workers = self.worker_count(admitted.len());
-        let shard = self.shard_config(workers);
         let mut responses = run_parallel(admitted, workers, |i, req| {
             let unique = match &parsed[i] {
                 Ok(u) => *u,
                 Err(e) => return Err(e.clone()),
             };
             let plan = match &plans[unique] {
-                Ok(p) => Arc::clone(p),
+                Ok(p) => p,
                 Err(e) => return Err(e.clone()),
             };
-            self.isolated(|| {
-                if !self.is_governed() {
-                    return run_op(&plan, req.op, &snapshot, &shard);
-                }
-                let budget = self.new_budget();
-                self.serve_prepared(req, &plan, &snapshot, &shard, &budget, &Tracer::off())
-            })
+            self.isolated(|| self.run(req, plan, &snapshot, &self.new_budget(), &off))
         });
         // Attribute every admitted response to its plan's statistics
         // (request counts and error counters; batch members carry no
@@ -687,53 +626,41 @@ impl Service {
     ///
     /// The plan cache is probed for real — a hit is reported (and
     /// counted) as a hit, and a miss prepares and caches the plan
-    /// exactly as serving it would, so an EXPLAIN warms the cache for
-    /// the requests that follow. Shard figures describe what a *single*
-    /// request would use; batch members may run sequential instead (see
-    /// [`ServiceConfig::intra_query_shards`]).
+    /// exactly as serving it would (same deadline, same isolation), so an
+    /// EXPLAIN warms the cache for the requests that follow.
     pub fn explain(&self, text: &str) -> Result<obs::PlanExplain, ServiceError> {
-        let q = parse_query(text).map_err(ServiceError::Parse)?;
-        let key = plan_key(&q);
-        let fresh = std::cell::Cell::new(false);
-        let plan = self.plans.get_or_prepare_with(&key, || {
-            fresh.set(true);
-            Ok(PreparedQuery::prepare_parsed_with_key(
-                q,
-                key.clone(),
-                &self.decomps,
-                &self.cfg.prepare,
-            ))
-        })?;
+        let (plan, hit) = self.resolve_text(text)?;
         let mut explain = plan.explain(text);
-        explain.plan_cache_hit = Some(!fresh.get());
-        let shard = self.shard_config(1);
-        explain.shards = shard.effective_shards() as u64;
-        explain.shard_min_rows = self.cfg.shard_min_rows as u64;
+        explain.plan_cache_hit = Some(hit);
         Ok(explain)
     }
 
     /// EXPLAIN ANALYZE: execute `req` with full tracing and pair the
-    /// answer with the plan's [`obs::PlanExplain`] and the execution's
-    /// [`QueryTrace`] — render with
-    /// [`obs::PlanExplain::render_analyzed`]. Cache lineage in the
-    /// explain reflects what *this* execution saw, not the probe an
-    /// [`Service::explain`] would make afterwards.
+    /// answer with the [`obs::PlanExplain`] of the plan that execution
+    /// resolved and with its [`QueryTrace`] — render with
+    /// [`obs::PlanExplain::render_analyzed`]. One request, one plan-cache
+    /// lookup; cache lineage in the explain is what the execution saw.
     ///
     /// Errors only when no plan can be derived at all (parse or
     /// preparation failure); an execution failure under a valid plan
     /// comes back inside [`ExplainAnalyzed::response`].
     pub fn explain_analyze(&self, req: &Request) -> Result<ExplainAnalyzed, ServiceError> {
-        let obs = Tracer::on();
-        let (response, trace) = self.execute_inner(req, &obs);
+        let Served {
+            response,
+            trace,
+            plan,
+        } = self.serve(req, &Tracer::on());
+        let Some(plan) = plan else {
+            return Err(response.err().unwrap_or_else(|| {
+                ServiceError::Internal("a request was answered without a plan".to_string())
+            }));
+        };
         let trace = trace.unwrap_or_default();
-        let mut explain = self.explain(&req.text)?;
-        if trace.plan_cache_hit.is_some() {
-            explain.plan_cache_hit = trace.plan_cache_hit;
-        }
+        let mut explain = plan.explain(&req.text);
+        explain.plan_cache_hit = trace.plan_cache_hit;
         if trace.decomp_cache_hit.is_some() {
             explain.decomp_cache_hit = trace.decomp_cache_hit;
         }
-        explain.shards = trace.shards;
         Ok(ExplainAnalyzed {
             response,
             explain,
@@ -865,30 +792,6 @@ impl Service {
         cap.min(items).max(1)
     }
 
-    /// The intra-query shard configuration for an execute phase running
-    /// on `workers` threads: sequential whenever the batch pool already
-    /// occupies more than one core (no oversubscription), the configured
-    /// shard count otherwise.
-    fn shard_config(&self, workers: usize) -> eval::ShardConfig {
-        if workers > 1 {
-            return eval::ShardConfig::sequential();
-        }
-        eval::ShardConfig {
-            shards: self.cfg.intra_query_shards,
-            min_rows: self.cfg.shard_min_rows,
-        }
-    }
-
-    /// Whether any resource-governance knob is set. When none is, every
-    /// request takes the legacy ungoverned kernels — zero budget-polling
-    /// overhead on the hot path.
-    fn is_governed(&self) -> bool {
-        let governed = self.cfg.deadline.is_some() || self.cfg.max_result_bytes.is_some();
-        #[cfg(feature = "fault-injection")]
-        let governed = governed || self.cfg.fault_injection.is_some();
-        governed
-    }
-
     /// A fresh budget for one unit of work (a preparation or one
     /// request's evaluation), with the configured deadline and byte
     /// quota. The deadline clock starts *now*.
@@ -903,43 +806,39 @@ impl Service {
         budget
     }
 
-    /// Prepare (or fetch) the plan for `text` under `budget`, recording
-    /// parse/plan-cache/planning spans and cache provenance into `obs`.
-    /// The budget is only consulted on the cache-miss path; a plan that
-    /// fails to prepare is not inserted, so the next request retries it.
-    fn prepare_observed(
+    /// The one plan-resolution function: fetch the plan for the parsed
+    /// query `q` (whose plan key is `key`, whose text was `text`) from the
+    /// plan cache, or prepare it under `budget` and cache it. Returns the
+    /// plan and whether the cache hit; records the plan-cache probe, the
+    /// planning spans and the cache provenance into `obs`. One cache
+    /// lookup per call. The budget is only consulted on the miss path; a
+    /// plan that fails to prepare is not inserted, so the next request
+    /// retries it.
+    fn resolve(
         &self,
+        q: &ConjunctiveQuery,
+        key: &str,
         text: &str,
         budget: &QueryBudget,
         obs: &Tracer,
-    ) -> Result<Arc<PreparedQuery>, ServiceError> {
-        let q = {
-            let _span = obs.span(Phase::Parse);
-            parse_query(text).map_err(ServiceError::Parse)?
-        };
-        let hit = {
+    ) -> Result<(Arc<PreparedQuery>, bool), ServiceError> {
+        let cached = {
             let _span = obs.span(Phase::PlanCache);
-            let key = plan_key(&q);
-            match self.plans.get(&key) {
-                Some(plan) => Ok(plan),
-                None => Err((q, key)),
-            }
+            self.plans.get(key)
         };
-        let (q, key) = match hit {
-            Ok(plan) => {
-                obs.note_plan_cache(true);
-                plan.note_plan(obs);
-                return Ok(plan);
-            }
-            Err(miss) => miss,
-        };
-        obs.note_plan_cache(false);
+        obs.note_plan_cache(cached.is_some());
+        if let Some(plan) = cached {
+            plan.note_plan(obs);
+            return Ok((plan, true));
+        }
         #[cfg(feature = "fault-injection")]
         self.fire_fault(crate::fault::FaultSite::Prepare, text, budget)?;
+        #[cfg(not(feature = "fault-injection"))]
+        let _ = text;
         let plan = Arc::new(
-            PreparedQuery::prepare_parsed_observed(
-                q,
-                key.clone(),
+            PreparedQuery::prepare_parsed(
+                q.clone(),
+                key.to_string(),
                 &self.decomps,
                 &self.cfg.prepare,
                 budget,
@@ -947,23 +846,28 @@ impl Service {
             )
             .map_err(ServiceError::Budget)?,
         );
-        self.plans.insert_prepared(&key, Arc::clone(&plan));
-        Ok(plan)
+        self.plans.insert_prepared(key, Arc::clone(&plan));
+        Ok((plan, false))
     }
 
-    /// Evaluate one already-prepared request under `budget`.
-    fn serve_prepared(
+    /// Evaluate one resolved request. This is where the request's
+    /// execution context is chosen, once: a budget that cannot trip and a
+    /// tracer that records nothing need no polling and no taps.
+    fn run(
         &self,
         req: &Request,
         plan: &PreparedQuery,
         db: &Database,
-        shard: &eval::ShardConfig,
         budget: &QueryBudget,
         obs: &Tracer,
     ) -> Response {
         #[cfg(feature = "fault-injection")]
         self.fire_fault(crate::fault::FaultSite::Execute, &req.text, budget)?;
-        run_op_observed(plan, req.op, db, shard, budget, obs)
+        if budget.is_unlimited() && !obs.enabled() {
+            run_op(plan, req.op, db, &Unlimited)
+        } else {
+            run_op(plan, req.op, db, &Governed::new(budget, obs))
+        }
     }
 
     /// The per-op request counter for `op`.
@@ -1029,8 +933,7 @@ impl Service {
 pub struct ExplainAnalyzed {
     /// The answer, exactly as [`Service::execute`] would have returned.
     pub response: Response,
-    /// The structured plan, with cache lineage and shard figures as
-    /// this execution saw them.
+    /// The structured plan, with cache lineage as this execution saw it.
     pub explain: obs::PlanExplain,
     /// Where the time went, per phase and per join-tree node. Render
     /// the pair with [`obs::PlanExplain::render_analyzed`].
@@ -1048,49 +951,42 @@ pub struct TracedResponse {
     pub trace: QueryTrace,
 }
 
-/// Evaluate one operation under a prepared plan. The sharded entry
-/// points collapse to the sequential kernels when `shard` resolves to a
-/// single shard, so there is one code path here.
-fn run_op(plan: &PreparedQuery, op: Op, db: &Database, shard: &eval::ShardConfig) -> Response {
-    match op {
-        Op::Boolean => plan.boolean_sharded(db, shard).map(Outcome::Boolean),
-        Op::Enumerate => plan.enumerate_sharded(db, shard).map(Outcome::Rows),
-        Op::Count => plan.count_sharded(db, shard).map(Outcome::Count),
-    }
-    .map_err(ServiceError::Eval)
+/// What [`Service::serve`] hands back: the answer, the trace if the
+/// request was traced, and the plan it resolved (`None` when it failed
+/// before resolving one).
+struct Served {
+    response: Response,
+    trace: Option<QueryTrace>,
+    plan: Option<Arc<PreparedQuery>>,
 }
 
-/// Evaluate one operation under a prepared plan with cooperative budget
-/// polling, recording phase spans and row accounting into `obs` (one
-/// branch per span when the tracer is off). An enumeration that trips
-/// the memory quota mid-join comes back as a truncated partial result
-/// ([`Outcome::Partial`]); every other trip is a typed
-/// [`ServiceError::Budget`].
-fn run_op_observed(
-    plan: &PreparedQuery,
-    op: Op,
-    db: &Database,
-    shard: &eval::ShardConfig,
-    budget: &QueryBudget,
-    obs: &Tracer,
-) -> Response {
+/// Parse `text` and render its plan key, under the tracer's `parse` and
+/// `plan_cache` spans.
+fn parse(text: &str, obs: &Tracer) -> Result<(ConjunctiveQuery, String), ServiceError> {
+    let q = {
+        let _span = obs.span(Phase::Parse);
+        parse_query(text).map_err(ServiceError::Parse)?
+    };
+    let _span = obs.span(Phase::PlanCache);
+    let key = plan_key(&q);
+    Ok((q, key))
+}
+
+/// Evaluate one operation under a prepared plan, in context `ctx`. An
+/// enumeration that trips the memory quota mid-join comes back as a
+/// truncated partial result ([`Outcome::Partial`]); every other trip is a
+/// typed [`ServiceError::Budget`].
+fn run_op<C: ExecCtx>(plan: &PreparedQuery, op: Op, db: &Database, ctx: &C) -> Response {
     match op {
-        Op::Boolean => plan
-            .boolean_observed(db, shard, budget, obs)
-            .map(Outcome::Boolean),
-        Op::Enumerate => {
-            plan.enumerate_observed(db, shard, budget, obs)
-                .map(|(rows, truncated)| {
-                    if truncated {
-                        Outcome::Partial(rows)
-                    } else {
-                        Outcome::Rows(rows)
-                    }
-                })
-        }
-        Op::Count => plan
-            .count_observed(db, shard, budget, obs)
-            .map(Outcome::Count),
+        Op::Boolean => plan.boolean(db, ctx).map(Outcome::Boolean),
+        Op::Enumerate => plan.enumerate(db, ctx).map(|(rows, truncated)| {
+            if truncated {
+                Outcome::Partial(rows)
+            } else {
+                Outcome::Rows(rows)
+            }
+        }),
+        Op::Count => plan.count(db, ctx).map(Outcome::Count),
     }
     .map_err(ServiceError::from)
 }
@@ -1250,32 +1146,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_service_answers_match_default() {
-        // Same snapshot, same requests: a service with intra-query
-        // sharding forced on (threshold off) answers byte-identically to
-        // the default sequential one — single requests and batches alike.
-        let seq = Service::new(triangle_db());
-        let shd = Service::with_config(
-            triangle_db(),
-            ServiceConfig {
-                intra_query_shards: 4,
-                shard_min_rows: 0,
-                ..Default::default()
-            },
-        );
-        let reqs = vec![
-            Request::boolean(TRIANGLE),
-            Request::enumerate(TRIANGLE),
-            Request::count(TRIANGLE),
-            Request::enumerate("ans(X,Y) :- r(X,Y), s(Y,Z)."),
-        ];
-        for req in &reqs {
-            assert_eq!(shd.execute(req), seq.execute(req), "{}", req.text);
-        }
-        assert_eq!(shd.execute_batch(&reqs), seq.execute_batch(&reqs));
-    }
-
-    #[test]
     fn repeated_variables_serve_end_to_end() {
         // Regression: a repeated variable inside an atom must act as an
         // equality selection all the way through parse → plan → serve.
@@ -1302,45 +1172,6 @@ mod tests {
         }
         // Exactly one satisfying assignment over var(Q) = {X, Y}.
         assert_eq!(svc.execute(&Request::count(text)), Ok(Outcome::Count(1)));
-        // And identically under forced intra-query sharding.
-        let svc2 = Service::with_config(
-            svc.snapshot(),
-            ServiceConfig {
-                intra_query_shards: 3,
-                shard_min_rows: 0,
-                ..Default::default()
-            },
-        );
-        assert_eq!(svc2.execute(&Request::count(text)), Ok(Outcome::Count(1)));
-        match svc2.execute(&Request::enumerate(text)) {
-            Ok(Outcome::Rows(rows)) => assert!(rows.contains_row(&[Value(1)])),
-            other => panic!("expected rows, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn multi_worker_batches_run_requests_unsharded() {
-        // The no-oversubscription rule: a multi-worker execute phase must
-        // resolve to sequential per-request execution, a one-worker phase
-        // to the configured shard count.
-        let svc = Service::with_config(
-            triangle_db(),
-            ServiceConfig {
-                intra_query_shards: 8,
-                max_threads: 4,
-                min_parallel_batch: 2,
-                ..Default::default()
-            },
-        );
-        assert!(svc.shard_config(4).is_sequential());
-        assert!(svc.shard_config(2).is_sequential());
-        assert_eq!(svc.shard_config(1).shards, 8);
-        // And the answers are the same either way (64 requests → the
-        // parallel path on multicore hosts; capped workers on 1-core CI).
-        let reqs: Vec<Request> = (0..64).map(|_| Request::count(TRIANGLE)).collect();
-        for resp in svc.execute_batch(&reqs) {
-            assert_eq!(resp, Ok(Outcome::Count(1)));
-        }
     }
 
     #[test]
@@ -1361,7 +1192,6 @@ mod tests {
         assert!(t.plan_width >= 1);
         assert!(t.total_ns > 0);
         assert!(t.rows_scanned > 0, "metered joins scanned input rows");
-        assert_eq!(t.shards, 1);
         assert!(!t.truncated);
 
         // A cold-cache traced request sees the miss and the planning
@@ -1413,6 +1243,62 @@ mod tests {
         assert!(text.starts_with("EXPLAIN ANALYZE"));
         assert!(text.contains("rows "));
         assert!(text.contains("actual: "));
+    }
+
+    #[test]
+    fn explain_analyze_probes_the_plan_cache_once() {
+        // Regression: EXPLAIN ANALYZE used to execute the request and then
+        // call `explain`, which re-parsed and probed the cache again — two
+        // lookups (and a phantom hit) per call.
+        let svc = Service::new(triangle_db());
+        let lookups = |svc: &Service| {
+            let s = svc.stats();
+            (s.plan_hits + s.plan_misses, s.decomp_hits + s.decomp_misses)
+        };
+        let cold = svc.explain_analyze(&Request::count(TRIANGLE)).unwrap();
+        assert_eq!(cold.explain.plan_cache_hit, Some(false));
+        assert_eq!(lookups(&svc), (1, 1), "one miss, one decomposition");
+        let warm = svc.explain_analyze(&Request::count(TRIANGLE)).unwrap();
+        assert_eq!(warm.explain.plan_cache_hit, Some(true));
+        assert_eq!(warm.explain.nodes, cold.explain.nodes);
+        assert_eq!(lookups(&svc), (2, 1), "one hit, no decomposition");
+        assert_eq!(svc.stats().plan_hits, 1);
+    }
+
+    #[test]
+    fn prepare_and_explain_run_under_the_request_deadline() {
+        // Regression: both used to call the ungoverned preparation
+        // directly, so a warm-up or an EXPLAIN ran the planner whatever
+        // the deadline said. An already-elapsed deadline must stop them
+        // at the first poll, before any plan exists. (A deadline that
+        // elapses *during* planning degrades to the heuristic witness
+        // instead — the planning tier of the ladder, see
+        // `PreparedQuery::prepare_parsed`.)
+        let svc = Service::with_config(
+            triangle_db(),
+            ServiceConfig {
+                deadline: Some(Duration::ZERO),
+                ..Default::default()
+            },
+        );
+        for got in [
+            svc.prepare(TRIANGLE).map(|_| ()),
+            svc.explain(TRIANGLE).map(|_| ()),
+        ] {
+            assert!(
+                matches!(
+                    got,
+                    Err(ServiceError::Budget(
+                        hypertree_core::QueryError::DeadlineExceeded { .. }
+                    ))
+                ),
+                "expected a deadline trip, got {got:?}"
+            );
+        }
+        let stats = svc.stats();
+        assert_eq!(stats.plans_cached, 0, "a failed preparation caches nothing");
+        assert_eq!(stats.decomp_hits + stats.decomp_misses, 0);
+        assert_eq!(stats.plan_misses, 2, "both probed the plan cache for real");
     }
 
     #[test]

@@ -183,6 +183,30 @@ fn a_busy_preparation_is_cut_off_by_the_deadline_without_cache_pollution() {
     );
 }
 
+#[test]
+fn prepare_and_explain_pass_the_prepare_fault_site_inside_isolation() {
+    // Regression: `Service::prepare` and `Service::explain` used to call
+    // the preparation directly — past the `Prepare` fault site and
+    // outside `catch_unwind`, so this panic would have unwound into the
+    // caller (or, without the probe, not fired at all).
+    let faults = FaultInjector::new([(FaultSite::Prepare, PANICKY.to_string(), Fault::Panic)]);
+    let svc = Service::with_config(db(), governed_config(Duration::from_secs(30), Some(faults)));
+    assert!(matches!(
+        svc.prepare(PANICKY),
+        Err(ServiceError::Internal(_))
+    ));
+    assert!(matches!(
+        svc.explain(PANICKY),
+        Err(ServiceError::Internal(_))
+    ));
+    let stats = svc.stats();
+    assert_eq!(stats.panics_caught, 2);
+    assert_eq!(stats.plans_cached, 0, "nothing half-built was cached");
+    // Healthy texts still prepare and explain.
+    assert!(svc.prepare(TRIANGLE).is_ok());
+    assert_eq!(svc.explain(TRIANGLE).unwrap().plan_cache_hit, Some(true));
+}
+
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
 

@@ -7,8 +7,8 @@
 //! * a property test pinning the diagnostics to be purely
 //!   observational — a service with sampling, the flight recorder, and
 //!   per-plan statistics all turned up answers byte-identically to one
-//!   with everything off, across all operations and the sequential /
-//!   sharded / governed configurations.
+//!   with everything off, across all operations and the default /
+//!   governed configurations.
 
 mod common;
 
@@ -111,13 +111,8 @@ proptest! {
         prop_assume!(!texts.is_empty());
         let db = Arc::new(db);
 
-        let configs: [(&str, ServiceConfig); 3] = [
-            ("sequential", ServiceConfig::default()),
-            ("sharded", ServiceConfig {
-                intra_query_shards: 2,
-                shard_min_rows: 0,
-                ..Default::default()
-            }),
+        let configs: [(&str, ServiceConfig); 2] = [
+            ("default", ServiceConfig::default()),
             ("governed", ServiceConfig {
                 deadline: Some(Duration::from_secs(600)),
                 max_result_bytes: Some(1 << 40),

@@ -1,6 +1,6 @@
 //! The observability contract, property-tested: tracing must be purely
 //! observational. For any generated workload, any operation, and any
-//! service configuration (sequential, intra-query sharded, governed),
+//! service configuration (default, governed),
 //! [`service::Service::execute_traced`] must return a response
 //! byte-identical to [`service::Service::execute`] on the same request —
 //! and the trace it carries must be internally consistent (phases sum to
@@ -68,9 +68,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Traced and untraced execution coincide byte for byte — across all
-    /// three operations, on a sequential service, on an intra-query
-    /// sharded service, and on a governed service whose roomy budget
-    /// never trips.
+    /// three operations, on a default service and on a governed service
+    /// whose roomy budget never trips.
     #[test]
     fn traced_equals_untraced(seed in 0u64..(1 << 48)) {
         let (texts, db) = gen_workload(seed);
@@ -81,18 +80,8 @@ proptest! {
         prop_assume!(!texts.is_empty());
         let db = Arc::new(db);
 
-        let sequential = Service::new(Arc::clone(&db));
-        check_service(&sequential, &texts, "sequential")?;
-
-        let sharded = Service::with_config(
-            Arc::clone(&db),
-            ServiceConfig {
-                intra_query_shards: 2,
-                shard_min_rows: 0,
-                ..Default::default()
-            },
-        );
-        check_service(&sharded, &texts, "sharded")?;
+        let default = Service::new(Arc::clone(&db));
+        check_service(&default, &texts, "default")?;
 
         let governed = Service::with_config(
             Arc::clone(&db),

@@ -59,7 +59,7 @@ fn main() {
         println!("  plan width: {}", plan.width());
 
         let t = Instant::now();
-        let answer = plan.boolean(q, &db).unwrap();
+        let answer = plan.boolean(q, &db, &Unlimited).unwrap();
         let decomposed_time = t.elapsed();
         println!("  decomposition-guided: {answer} in {decomposed_time:?}");
 

@@ -77,7 +77,7 @@ use cq::ConjunctiveQuery;
 pub mod prelude {
     pub use crate::{decompose, hypertree_width, query_width};
     pub use cq::{parse_query, ConjunctiveQuery, QueryBuilder, Term};
-    pub use eval::{evaluate, evaluate_boolean, Pipeline, ShardConfig, Strategy};
+    pub use eval::{evaluate, evaluate_boolean, Pipeline, Strategy, Unlimited};
     pub use hypergraph::{Hypergraph, JoinTree};
     pub use hypertree_core::{HypertreeDecomposition, QueryBudget, QueryDecomposition, QueryError};
     pub use obs::{PlanExplain, QueryTrace, Registry, Tracer};

@@ -84,7 +84,11 @@ fn all_widths_agree() {
         let hw = hypertree::core::opt::hypertree_width(&h).max(1);
         for k in hw..=h.num_edges().min(hw + 2) {
             if let Some(plan) = Strategy::plan_with_width(&q, k) {
-                assert_eq!(plan.boolean(&q, &db).unwrap(), reference, "width {k}");
+                assert_eq!(
+                    plan.boolean(&q, &db, &eval::Unlimited).unwrap(),
+                    reference,
+                    "width {k}"
+                );
             }
         }
     }
