@@ -146,8 +146,9 @@ pub fn e4() -> String {
     let reduced = eval::reduction::reduce(&q, &db, &hd).unwrap();
     writeln!(
         out,
-        "reduced instance: {} nodes, {} cells (r = {} rows, k = {}: bound r^k = {})",
-        reduced.tree.len(),
+        "reduced instance: {} nodes, {} cells (each node the λ-product reduced by its \
+         subtree, ≤ r^k rows; r = {} rows, k = {}: r^k = {})",
+        reduced.tree().len(),
         reduced.size_cells(),
         db.max_relation_rows(),
         hd.width(),

@@ -184,13 +184,15 @@ impl CostMeter for BudgetMeter<'_> {
 }
 
 /// Record every node relation's current size as its pipeline-entry row
-/// count (one branch per node when tracing is off).
+/// count, and as its own bound: a relation handed to the pipeline as it
+/// is (a join-tree node's bound atom) is its own λ-product (one branch
+/// when tracing is off).
 #[inline]
 pub(crate) fn note_nodes_in(obs: &obs::Tracer, rels: &[Relation]) {
     if obs.enabled() {
         obs.init_nodes(rels.len());
         for (i, r) in rels.iter().enumerate() {
-            obs.note_node_rows_in(i, r.len() as u64);
+            obs.note_node_built(i, r.len() as u64, r.len() as u64, false);
         }
     }
 }

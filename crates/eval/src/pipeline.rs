@@ -21,6 +21,15 @@
 //!   with the same connector columns, and unchanged relations keep their
 //!   indexes across sweeps).
 //!
+//! A pipeline compiled by [`crate::reduction::ReducedInstance::into_pipeline`]
+//! runs over relations the children-first Lemma 4.6 construction has
+//! already made upward-consistent (every node semijoin-reduced by its
+//! subtree), and records so privately: its `boolean` answers from the
+//! root and its `full_reduce` / `enumerate` run only the top-down sweep.
+//! [`Pipeline::new`] makes no such assumption and runs both sweeps; on
+//! relations that are already consistent the sweeps are idempotent
+//! no-ops either way.
+//!
 //! The wrappers in [`crate::yannakakis`] keep the historical
 //! `(tree, &[BoundAtom]) -> owned results` API on top of this; the
 //! planner ([`crate::Strategy`]), the Lemma 4.6 reduction and the
@@ -68,6 +77,10 @@ pub struct Pipeline {
     /// Per non-root node: its own columns shared with the parent (aligned
     /// with `parent_cols`).
     pub(crate) child_cols: Vec<Vec<usize>>,
+    /// The relations this pipeline is run over are already
+    /// upward-consistent: set only for the Lemma 4.6 construction's
+    /// output, whose bottom-up sweep it has done while building.
+    upward_consistent: bool,
 }
 
 impl Pipeline {
@@ -110,6 +123,16 @@ impl Pipeline {
             vars,
             parent_cols,
             child_cols,
+            upward_consistent: false,
+        }
+    }
+
+    /// [`Pipeline::new`] for relations already semijoin-reduced by their
+    /// subtrees — what [`crate::reduction::reduce_in`] builds.
+    pub(crate) fn upward_consistent(tree: &RootedTree, vars: Vec<Vec<VertexId>>) -> Self {
+        Pipeline {
+            upward_consistent: true,
+            ..Self::new(tree, vars)
         }
     }
 
@@ -131,16 +154,18 @@ impl Pipeline {
 
     /// One bottom-up semijoin sweep, in place; returns `true` iff the
     /// Boolean query holds (the root stays non-empty). Exits early as soon
-    /// as any parent empties — it can never recover.
-    /// [`Pipeline::boolean_in`] under [`Unlimited`].
+    /// as any parent empties — it can never recover. On upward-consistent
+    /// relations (see the module docs) there is nothing to sweep and the
+    /// root answers directly. [`Pipeline::boolean_in`] under
+    /// [`Unlimited`].
     pub fn boolean(&self, rels: &mut [Relation]) -> bool {
         untripped(self.boolean_in(rels, &Unlimited))
     }
 
     /// The full reducer: bottom-up then top-down semijoin sweeps, in
-    /// place. Afterwards every remaining tuple of every node participates
-    /// in at least one answer. [`Pipeline::full_reduce_in`] under
-    /// [`Unlimited`].
+    /// place (top-down only on upward-consistent relations). Afterwards
+    /// every remaining tuple of every node participates in at least one
+    /// answer. [`Pipeline::full_reduce_in`] under [`Unlimited`].
     pub fn full_reduce(&self, rels: &mut [Relation]) {
         untripped(self.full_reduce_in(rels, &Unlimited))
     }
@@ -192,8 +217,8 @@ impl Pipeline {
         assert_eq!(rels.len(), self.tree.len(), "one relation per node");
         let obs = ctx.tracer();
         let _span = obs.span(obs::Phase::Reduce);
-        note_nodes_in(obs, rels);
-        for &n in &self.post {
+        self.note_entry(obs, rels);
+        for &n in self.upward_sweep() {
             if let Some(p) = self.tree.parent(n) {
                 let (parent_cols, child_cols) = self.edge_cols(n);
                 self.semijoin_edge(rels, (p, parent_cols), (n, child_cols), ctx)?;
@@ -207,6 +232,25 @@ impl Pipeline {
         Ok(!rels[self.tree.root().index()].is_empty())
     }
 
+    /// The nodes the bottom-up sweep visits, in post-order: none when the
+    /// relations are already upward-consistent.
+    fn upward_sweep(&self) -> &[NodeId] {
+        if self.upward_consistent {
+            &[]
+        } else {
+            &self.post
+        }
+    }
+
+    /// Record the node relations entering a run — unless the Lemma 4.6
+    /// construction built them and has already recorded what it built
+    /// against its bound.
+    fn note_entry(&self, obs: &obs::Tracer, rels: &[Relation]) {
+        if !self.upward_consistent {
+            note_nodes_in(obs, rels);
+        }
+    }
+
     /// The full reducer (see [`Pipeline::full_reduce`]) under `ctx`; same
     /// per-edge checking and span as [`Pipeline::boolean_in`].
     pub fn full_reduce_in<C: ExecCtx>(
@@ -217,8 +261,8 @@ impl Pipeline {
         assert_eq!(rels.len(), self.tree.len(), "one relation per node");
         let obs = ctx.tracer();
         let _span = obs.span(obs::Phase::Reduce);
-        note_nodes_in(obs, rels);
-        for &n in &self.post {
+        self.note_entry(obs, rels);
+        for &n in self.upward_sweep() {
             if let Some(p) = self.tree.parent(n) {
                 let (parent_cols, child_cols) = self.edge_cols(n);
                 self.semijoin_edge(rels, (p, parent_cols), (n, child_cols), ctx)?;
@@ -351,7 +395,7 @@ impl Pipeline {
         let _span = obs.span(obs::Phase::Count);
         let tap = obs.io();
         // The DP never filters: rows in == rows out at every node.
-        note_nodes_in(obs, rels);
+        self.note_entry(obs, rels);
         note_nodes_out(obs, rels);
         ctx.check(PHASE)?;
         let cell = std::mem::size_of::<u128>() as u64;

@@ -9,7 +9,10 @@
 //!   rows in the same order, same count, never truncated.
 //! * **Plans** — the join tree (acyclic queries), the exact hypertree
 //!   decomposition, the heuristic GHD, and the trivial one-node
-//!   decomposition.
+//!   decomposition; and, for planted shapes, hand-written decompositions
+//!   that drive the children-first node construction down its rarer
+//!   paths (a disconnected leaf, a node that empties mid-tree, a nullary
+//!   child factor, a GHD without the descendant condition).
 //! * **Tripped budgets** — an elapsed deadline, a 16-byte quota and a
 //!   cancelled budget must produce the matching typed error, or the exact
 //!   answer if the run never reached the limit, or (enumerations under a
@@ -142,6 +145,14 @@ fn budget_error(e: EvalError) -> Result<QueryError, TestCaseError> {
 }
 
 fn check(q: &ConjunctiveQuery, db: &Database) -> Result<(), TestCaseError> {
+    check_plans(q, db, plans(q))
+}
+
+fn check_plans(
+    q: &ConjunctiveQuery,
+    db: &Database,
+    plans: Vec<(&'static str, Strategy)>,
+) -> Result<(), TestCaseError> {
     let expected = oracle(q, db);
     let before = snapshot(db);
     let roomy = || {
@@ -149,7 +160,7 @@ fn check(q: &ConjunctiveQuery, db: &Database) -> Result<(), TestCaseError> {
             .with_deadline(Duration::from_secs(600))
             .with_byte_quota(1 << 40)
     };
-    for (kind, plan) in plans(q) {
+    for (kind, plan) in plans {
         // Every context equals the oracle, and each other byte for byte.
         let plain = answers(&plan, q, db, &Unlimited)?;
         prop_assert_eq!(plain.0, expected.boolean, "{}: boolean of {}", kind, q);
@@ -270,5 +281,164 @@ fn nullary_atoms_match_naive_under_every_ctx() {
         db.add_fact("e", &[1, 2]);
         db.add_fact("e", &[3, 4]);
         check(&q, &db).unwrap();
+    }
+}
+
+/// A decomposition written out by hand: `nodes[i] = (parent, χ, λ)` by
+/// variable and predicate name, node 0 the root, parents listed before
+/// their children. It must be a valid GHD of `q` (the reduction
+/// debug-asserts it).
+fn hand_hd(q: &ConjunctiveQuery, nodes: &[(Option<usize>, &[&str], &[&str])]) -> Strategy {
+    let h = q.hypergraph();
+    let mut tree = hypergraph::RootedTree::new();
+    let (mut chi, mut lambda) = (Vec::new(), Vec::new());
+    for (i, (parent, bag, cover)) in nodes.iter().enumerate() {
+        if let Some(p) = parent {
+            assert_eq!(tree.add_child(hypergraph::NodeId::new(*p)).index(), i);
+        }
+        let mut vs = h.empty_vertex_set();
+        for v in *bag {
+            vs.insert(h.vertex_by_name(v).unwrap());
+        }
+        let mut es = h.empty_edge_set();
+        for e in *cover {
+            es.insert(h.edge_by_name(e).unwrap());
+        }
+        chi.push(vs);
+        lambda.push(es);
+    }
+    let hd = HypertreeDecomposition::new(tree, chi, lambda);
+    assert_eq!(hd.validate_ghd(&h), Ok(()), "planted shape is not a GHD");
+    Strategy::from_decomposition(hd)
+}
+
+/// The planted shapes: a query, its hand-written decomposition, and what
+/// the node construction must do on it.
+fn shapes() -> Vec<(&'static str, ConjunctiveQuery, Strategy)> {
+    let parse = |text| cq::parse_query(text).unwrap();
+    // A leaf whose λ-atoms share no variable: r and s only meet through
+    // the root's c, so the leaf falls back to the Cartesian product.
+    let disjoint = parse("ans(X,Z) :- r(X,Y), s(Z,W), c(Y,W).");
+    let disjoint_hd = hand_hd(
+        &disjoint,
+        &[
+            (None, &["Y", "W"], &["c"]),
+            (Some(0), &["X", "Y", "Z", "W"], &["r", "s"]),
+        ],
+    );
+    // A path r — s — t under a root that also has a sibling u: when s
+    // and t do not join, the middle node empties and so must everything
+    // above it, while the sibling is still built.
+    let path = parse("ans(A,E) :- r(A,B), s(B,C), t(C,D), u(A,E).");
+    let path_hd = hand_hd(
+        &path,
+        &[
+            (None, &["A", "B"], &["r"]),
+            (Some(0), &["B", "C"], &["s"]),
+            (Some(1), &["C", "D"], &["t"]),
+            (Some(0), &["A", "E"], &["u"]),
+        ],
+    );
+    // Two components: the child shares nothing with the root, so its
+    // factor at the root is nullary — a non-empty / empty flag.
+    let split = parse("ans(X) :- r(X,Y), s(Z,W).");
+    let split_hd = hand_hd(
+        &split,
+        &[(None, &["X", "Y"], &["r"]), (Some(0), &["Z", "W"], &["s"])],
+    );
+    // A GHD that is not a hypertree decomposition: the root drops C from
+    // χ while λ provides it, and C reappears below (condition 4 fails).
+    let ghd = parse("ans(S) :- enrolled(S,C,R), teaches(P,C,A), parent(P,S).");
+    let ghd_hd = hand_hd(
+        &ghd,
+        &[
+            (None, &["S", "R"], &["enrolled"]),
+            (
+                Some(0),
+                &["P", "S", "C", "A", "R"],
+                &["teaches", "parent", "enrolled"],
+            ),
+        ],
+    );
+    vec![
+        ("disjoint leaf", disjoint, disjoint_hd),
+        ("empty mid-tree", path, path_hd),
+        ("nullary child factor", split, split_hd),
+        ("GHD without descendant condition", ghd, ghd_hd),
+    ]
+}
+
+/// Every planted shape, under its own decomposition and the trivial one
+/// (plus the workspace's planners), on generated databases: every
+/// context, every tripped budget, equal to naive, inputs untouched.
+#[test]
+fn planted_shapes_match_naive_under_every_ctx() {
+    for (name, q, plan) in shapes() {
+        for seed in 0..24u64 {
+            let mut rng = random::rng(seed);
+            let db = if seed % 2 == 0 {
+                random::planted_database(&mut rng, &q, 3, 6)
+            } else {
+                random::random_database(&mut rng, &q, 3, 6)
+            };
+            let mut all = vec![(name, plan.clone())];
+            all.extend(plans(&q));
+            check_plans(&q, &db, all).unwrap_or_else(|e| panic!("{name}, seed {seed}: {e:?}"));
+        }
+    }
+}
+
+/// The planted shapes take the paths they were planted for: the leaf
+/// with disjoint λ-atoms is built as a product (and says so), the empty
+/// middle node empties its ancestors but not its sibling, and a nullary
+/// child factor empties the root exactly when the child is empty.
+#[test]
+fn planted_shapes_take_their_planted_paths() {
+    let traced = |q: &ConjunctiveQuery, plan: &Strategy, db: &Database| {
+        let budget = QueryBudget::unlimited();
+        let tracer = obs::Tracer::on();
+        let answer = plan
+            .boolean(q, db, &Governed::new(&budget, &tracer))
+            .unwrap();
+        let trace = tracer.finish(obs::TraceOutcome::default()).unwrap();
+        (answer, trace.node_rows)
+    };
+    let shapes = shapes();
+
+    let (_, q, plan) = &shapes[0];
+    let mut db = Database::new();
+    for i in 0..4u64 {
+        db.add_fact("r", &[i, i]);
+        db.add_fact("s", &[i, i + 10]);
+    }
+    db.add_fact("c", &[1, 11]);
+    let (answer, rows) = traced(q, plan, &db);
+    assert!(answer);
+    assert!(rows[1].disconnected && !rows[0].disconnected, "{rows:?}");
+    assert_eq!((rows[1].rows_in, rows[1].rows_bound), (16, 16), "{rows:?}");
+    assert_eq!(rows[0].rows_in, 1, "the root keeps only c(1, 11)");
+
+    let (_, q, plan) = &shapes[1];
+    let mut db = Database::new();
+    db.add_fact("r", &[1, 2]);
+    db.add_fact("s", &[2, 3]);
+    db.add_fact("t", &[4, 5]); // s(_, 3) meets no t(3, _)
+    db.add_fact("u", &[1, 6]);
+    let (answer, rows) = traced(q, plan, &db);
+    assert!(!answer);
+    let built: Vec<u64> = rows.iter().map(|n| n.rows_in).collect();
+    assert_eq!(built, [0, 0, 1, 1], "root and middle empty, leaves built");
+
+    let (_, q, plan) = &shapes[2];
+    for s_rows in [0u64, 2] {
+        let mut db = Database::new();
+        db.add_fact("r", &[1, 2]);
+        db.insert("s", Relation::new(2));
+        for i in 0..s_rows {
+            db.add_fact("s", &[i, i]);
+        }
+        let (answer, rows) = traced(q, plan, &db);
+        assert_eq!(answer, s_rows > 0);
+        assert_eq!(rows[0].rows_in, u64::from(s_rows > 0), "{rows:?}");
     }
 }

@@ -17,7 +17,7 @@ use crate::trace::{fmt_ns, QueryTrace};
 
 /// Schema tag stamped into the EXPLAIN JSON form; bump on breaking
 /// change.
-pub const EXPLAIN_SCHEMA: &str = "obs-explain/2";
+pub const EXPLAIN_SCHEMA: &str = "obs-explain/3";
 
 /// One node of the plan tree: a variable bag (χ for hypertrees, the
 /// atom's variables for join trees) and the edge cover that supplies
@@ -70,8 +70,9 @@ impl PlanExplain {
     }
 
     /// Tree-style text rendering annotated with a real execution's
-    /// trace (EXPLAIN ANALYZE): per-node rows in/out and survivor
-    /// counts, per-phase wall time, and totals.
+    /// trace (EXPLAIN ANALYZE): per-node rows built against their bound
+    /// (`built/bound`, flagged `disconnected` where building took a
+    /// Cartesian product), survivors, per-phase wall time, and totals.
     pub fn render_analyzed(&self, trace: &QueryTrace) -> String {
         self.render_inner(Some(trace))
     }
@@ -114,8 +115,13 @@ impl PlanExplain {
                 if let Some(nr) = t.node_rows.get(n.id) {
                     let _ = write!(
                         out,
-                        "  rows {}→{} scanned={}",
-                        nr.rows_in, nr.rows_out, nr.rows_scanned
+                        "  built/bound={}/{}{}  rows {}→{} scanned={}",
+                        nr.rows_in,
+                        nr.rows_bound,
+                        if nr.disconnected { " disconnected" } else { "" },
+                        nr.rows_in,
+                        nr.rows_out,
+                        nr.rows_scanned
                     );
                 }
             }
@@ -149,7 +155,7 @@ impl PlanExplain {
     }
 
     /// JSON form with an `analyze` section and per-node row counts
-    /// from a real execution's trace.
+    /// (built, bound, survivors, scanned) from a real execution's trace.
     pub fn to_json_analyzed(&self, trace: &QueryTrace) -> String {
         self.json_inner(Some(trace))
     }
@@ -206,8 +212,9 @@ impl PlanExplain {
                 if let Some(nr) = t.node_rows.get(n.id) {
                     let _ = write!(
                         out,
-                        ", \"rows\": {{\"in\": {}, \"out\": {}, \"scanned\": {}}}",
-                        nr.rows_in, nr.rows_out, nr.rows_scanned
+                        ", \"rows\": {{\"in\": {}, \"bound\": {}, \"disconnected\": {}, \
+                         \"out\": {}, \"scanned\": {}}}",
+                        nr.rows_in, nr.rows_bound, nr.disconnected, nr.rows_out, nr.rows_scanned
                     );
                 }
             }
@@ -296,11 +303,15 @@ mod tests {
         t.node_rows = vec![
             NodeRows {
                 rows_in: 9,
+                rows_bound: 25,
+                disconnected: false,
                 rows_out: 3,
                 rows_scanned: 30,
             },
             NodeRows {
                 rows_in: 3,
+                rows_bound: 5,
+                disconnected: true,
                 rows_out: 3,
                 rows_scanned: 10,
             },
@@ -327,7 +338,8 @@ mod tests {
     fn render_analyzed_annotates_nodes_and_phases() {
         let text = sample().render_analyzed(&sample_trace());
         assert!(text.starts_with("EXPLAIN ANALYZE"));
-        assert!(text.contains("rows 9→3 scanned=30"));
+        assert!(text.contains("built/bound=9/25  rows 9→3 scanned=30"));
+        assert!(text.contains("built/bound=3/5 disconnected  rows 3→3 scanned=10"));
         assert!(text.contains("reduce"));
         assert!(text.contains("actual: total="));
     }
@@ -336,7 +348,7 @@ mod tests {
     fn json_forms_are_balanced_and_tagged() {
         let ex = sample();
         for json in [ex.to_json(), ex.to_json_analyzed(&sample_trace())] {
-            assert!(json.contains("\"schema\": \"obs-explain/2\""));
+            assert!(json.contains("\"schema\": \"obs-explain/3\""));
             for (open, close) in [('{', '}'), ('[', ']')] {
                 assert_eq!(
                     json.matches(open).count(),
@@ -347,7 +359,9 @@ mod tests {
         }
         let analyzed = ex.to_json_analyzed(&sample_trace());
         assert!(analyzed.contains("\"analyze\": {"));
-        assert!(analyzed.contains("\"rows\": {\"in\": 9, \"out\": 3, \"scanned\": 30}"));
+        assert!(analyzed.contains(
+            "\"rows\": {\"in\": 9, \"bound\": 25, \"disconnected\": false, \"out\": 3, \"scanned\": 30}"
+        ));
         assert!(!ex.to_json().contains("\"analyze\""));
     }
 }

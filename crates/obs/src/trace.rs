@@ -8,7 +8,7 @@
 //! (PR 7): untraced requests pay no timestamps beyond what the budget
 //! already takes.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -62,6 +62,8 @@ const KIND_HYPERTREE: u8 = 2;
 /// evaluation pipeline declares its node count.
 struct NodeCell {
     rows_in: AtomicU64,
+    rows_bound: AtomicU64,
+    disconnected: AtomicBool,
     rows_out: AtomicU64,
     rows_scanned: AtomicU64,
 }
@@ -158,6 +160,8 @@ impl Tracer {
                 (0..n)
                     .map(|_| NodeCell {
                         rows_in: AtomicU64::new(0),
+                        rows_bound: AtomicU64::new(0),
+                        disconnected: AtomicBool::new(false),
                         rows_out: AtomicU64::new(0),
                         rows_scanned: AtomicU64::new(0),
                     })
@@ -180,11 +184,17 @@ impl Tracer {
         )
     }
 
-    /// Record the row count entering a plan node (its relation size
-    /// before any semijoin sweep). Last write wins.
-    pub fn note_node_rows_in(&self, node: usize, rows: u64) {
+    /// Record how a plan node's relation was built: the `rows` it holds
+    /// entering the semijoin sweeps, the `bound` the construction
+    /// guarantees for it (the λ-product Π|rel(A)| for a Lemma 4.6 node,
+    /// the relation's own size for a join-tree node), and whether the
+    /// node's join inputs stayed `disconnected` (the construction fell
+    /// back to a Cartesian product). Last write wins.
+    pub fn note_node_built(&self, node: usize, rows: u64, bound: u64, disconnected: bool) {
         if let Some(c) = self.node_cell(node) {
             c.rows_in.store(rows, Ordering::Relaxed);
+            c.rows_bound.store(bound, Ordering::Relaxed);
+            c.disconnected.store(disconnected, Ordering::Relaxed);
         }
     }
 
@@ -261,6 +271,8 @@ impl Tracer {
                     .iter()
                     .map(|c| NodeRows {
                         rows_in: c.rows_in.load(Ordering::Relaxed),
+                        rows_bound: c.rows_bound.load(Ordering::Relaxed),
+                        disconnected: c.disconnected.load(Ordering::Relaxed),
                         rows_out: c.rows_out.load(Ordering::Relaxed),
                         rows_scanned: c.rows_scanned.load(Ordering::Relaxed),
                     })
@@ -341,12 +353,20 @@ pub struct TraceOutcome {
 }
 
 /// Row accounting for one plan node: relation size entering the
-/// pipeline, survivors after the semijoin sweeps, and metered scan
-/// work attributed to the node.
+/// pipeline against the bound its construction guarantees, survivors
+/// after the semijoin sweeps, and metered scan work attributed to the
+/// node.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeRows {
-    /// Node relation size entering the pipeline.
+    /// Node relation size entering the pipeline: the rows built.
     pub rows_in: u64,
+    /// Upper bound on `rows_in`: for a Lemma 4.6 node the λ-product
+    /// Π|rel(A)| over λ(p) (saturating) — the `r^|λ|` of the lemma —
+    /// and for a join-tree node its own bound atom's size.
+    pub rows_bound: u64,
+    /// The node's join inputs had no shared variable to chain on, so
+    /// building it took a Cartesian product.
+    pub disconnected: bool,
     /// Surviving rows after the sweeps that touched the node.
     pub rows_out: u64,
     /// Rows scanned by metered operators attributed to this node.
@@ -432,8 +452,12 @@ impl std::fmt::Display for QueryTrace {
         for (i, nr) in self.node_rows.iter().enumerate() {
             writeln!(
                 f,
-                "  node[{i}]    in={} out={} scanned={}",
-                nr.rows_in, nr.rows_out, nr.rows_scanned
+                "  node[{i}]    in={} bound={}{} out={} scanned={}",
+                nr.rows_in,
+                nr.rows_bound,
+                if nr.disconnected { " disconnected" } else { "" },
+                nr.rows_out,
+                nr.rows_scanned
             )?;
         }
         let cache = |v: Option<bool>| match v {
@@ -550,7 +574,7 @@ mod tests {
         t.node_tap(0).add_rows(99);
         t.init_nodes(2);
         t.init_nodes(5); // first declaration wins
-        t.note_node_rows_in(0, 10);
+        t.note_node_built(0, 10, 12, true);
         t.note_node_rows_out(0, 4);
         t.node_tap(0).add_rows(7);
         t.node_tap(1).add_rows(3);
@@ -558,17 +582,22 @@ mod tests {
         let tr = t.finish(TraceOutcome::default()).unwrap();
         assert_eq!(tr.node_rows.len(), 2);
         assert_eq!(tr.node_rows[0].rows_in, 10);
+        assert_eq!(tr.node_rows[0].rows_bound, 12);
+        assert!(tr.node_rows[0].disconnected);
+        assert!(!tr.node_rows[1].disconnected);
         assert_eq!(tr.node_rows[0].rows_out, 4);
         assert_eq!(tr.node_rows[0].rows_scanned, 7);
         assert_eq!(tr.node_rows[1].rows_scanned, 3);
-        assert!(tr.render().contains("node[0]"));
+        assert!(tr
+            .render()
+            .contains("node[0]    in=10 bound=12 disconnected out=4"));
     }
 
     #[test]
     fn disabled_tracer_ignores_node_accounting() {
         let t = Tracer::off();
         t.init_nodes(3);
-        t.note_node_rows_in(0, 1);
+        t.note_node_built(0, 1, 1, false);
         t.node_tap(0).add_rows(1);
         assert!(t.finish(TraceOutcome::default()).is_none());
     }

@@ -82,6 +82,30 @@ fn explain_analyze_rows_and_phases_match_the_trace() {
     assert!(json.contains("\"rows\""));
 }
 
+/// A Boolean hypertree run no longer sweeps (the children-first
+/// construction already made its node relations upward-consistent), yet
+/// its EXPLAIN ANALYZE still has a row for every plan node: rows built
+/// against the λ-product bound, recorded while building.
+#[test]
+fn boolean_explain_analyze_reports_rows_built_against_the_bound() {
+    let svc = Service::new(planted_db());
+    let ea = svc
+        .explain_analyze(&Request::boolean(TRIANGLE))
+        .expect("triangle plans");
+    assert_eq!(ea.response, Ok(Outcome::Boolean(true)));
+    let t = &ea.trace;
+    assert_eq!(t.plan_kind, Some("hypertree"));
+    assert_eq!(t.node_rows.len(), ea.explain.nodes.len());
+    assert!(t.node_rows.iter().any(|n| n.rows_in > 0));
+    for n in &t.node_rows {
+        assert!(n.rows_in <= n.rows_bound, "{n:?} exceeds its bound");
+        assert!(n.rows_out <= n.rows_in, "{n:?}");
+    }
+    let text = ea.explain.render_analyzed(t);
+    assert!(text.contains("built/bound="), "{text}");
+    assert!(ea.explain.to_json_analyzed(t).contains("\"bound\": "));
+}
+
 #[test]
 fn explain_analyze_on_an_acyclic_plan_uses_join_tree_nodes() {
     let svc = Service::new(planted_db());

@@ -223,3 +223,56 @@ fn enumeration_degrades_to_a_sound_partial_result() {
         other => panic!("expected a memory trip, got {other:?}"),
     }
 }
+
+/// The λ-product cliff is gone. A width-2 cycle over 2 000-row relations
+/// answers all three operations exactly under an 8 MiB byte quota, though
+/// a node's λ-product here has 2 000² = 4·10⁶ rows, tens of megabytes
+/// (materialising it trips this quota with `MemoryBudgetExceeded`): node
+/// relations are built children-first, in a connected join order, so no
+/// node passes through the product.
+#[test]
+fn a_width_two_cycle_over_large_relations_fits_a_small_byte_quota() {
+    const DOMAIN: u64 = 1_000;
+    // Each r_i maps x to x + a_i and to x + b_i (mod DOMAIN): 2 000 rows
+    // and out-degree 2, so the naive join along the cycle stays near
+    // 2 000 · 2⁵ rows. A cycle closes where the chosen offsets sum to
+    // 0 mod DOMAIN: here the all-a choice (43) and (2, 5, 7, 13, 23) + 950.
+    let offsets: [(u64, u64); 6] = [(1, 2), (3, 5), (7, 11), (13, 17), (19, 23), (957, 950)];
+    let mut db = Database::new();
+    for (i, (a, b)) in offsets.iter().enumerate() {
+        for x in 0..DOMAIN {
+            db.add_fact(&format!("r{i}"), &[x, (x + a) % DOMAIN]);
+            db.add_fact(&format!("r{i}"), &[x, (x + b) % DOMAIN]);
+        }
+    }
+    let text = "ans(A,B,C,D,E,F) :- r0(A,B), r1(B,C), r2(C,D), r3(D,E), r4(E,F), r5(F,A).";
+    let q = cq::parse_query(text).unwrap();
+    let order = eval::naive::JoinOrder::GreedySmallest;
+    let naive = eval::naive::evaluate(&q, &db, order, 1 << 20).unwrap();
+    assert!(naive.len() as u64 >= 2 * DOMAIN, "planted cycles close");
+
+    let svc = Service::with_config(
+        Arc::new(db),
+        ServiceConfig {
+            max_result_bytes: Some(8 << 20),
+            ..Default::default()
+        },
+    );
+    assert_eq!(
+        svc.execute(&Request::boolean(text)),
+        Ok(Outcome::Boolean(true))
+    );
+    assert_eq!(
+        svc.execute(&Request::count(text)),
+        Ok(Outcome::Count(naive.len() as u128))
+    );
+    let sorted = |r: &Relation| {
+        let mut rows: Vec<Vec<Value>> = r.rows().map(<[Value]>::to_vec).collect();
+        rows.sort();
+        rows
+    };
+    match svc.execute(&Request::enumerate(text)) {
+        Ok(Outcome::Rows(rows)) => assert_eq!(sorted(&rows), sorted(&naive)),
+        other => panic!("expected every answer, got {other:?}"),
+    }
+}
